@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt fmt-check bench bench-quick bench-diff cp-smoke experiments-quick shard-diff replay-diff ci
+.PHONY: all build test race vet lint fmt fmt-check bench bench-quick bench-diff cp-smoke experiments-quick artifacts-diff shard-diff replay-diff ci
 
 all: build
 
@@ -68,6 +68,25 @@ cp-smoke:
 # the determinism tests cover correctness, this covers the CLI path).
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick -parallel 0 > /dev/null
+
+# Committed-results gate: regenerate every CSV except F8's (a minute at full
+# scale) and require each to match its committed copy in artifacts/ byte for
+# byte, with no CSV missing on either side.
+ARTIFACT_RUNS = T1,F1,T2,F2,F3,T3,T4,T5,F4,F5,T6,F6,T7,A1,A2,T8,R7
+
+artifacts-diff:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments -run $(ARTIFACT_RUNS) -csv "$$tmp" > /dev/null && \
+	status=0 && \
+	for f in artifacts/*.csv; do \
+		case "$${f##*/}" in F8_*) continue ;; esac; \
+		cmp "$$f" "$$tmp/$${f##*/}" || status=1; \
+	done && \
+	for f in "$$tmp"/*.csv; do \
+		[ -e "artifacts/$${f##*/}" ] || { echo "artifacts-diff: $${f##*/} is not committed"; status=1; }; \
+	done && \
+	if [ $$status -ne 0 ]; then echo "artifacts-diff: regenerated CSVs differ from artifacts/"; exit 1; fi && \
+	echo "artifacts-diff: every non-F8 CSV matches artifacts/"
 
 # Region-sharding differential gate: a one-shard MultiEngine world must be
 # byte-identical to a plain-Engine build, and the sharded fleet must produce

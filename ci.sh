@@ -41,4 +41,10 @@ make bench-diff
 echo "== experiments smoke (quick suite, parallel)"
 make experiments-quick
 
+echo "== artifacts-diff (every non-F8 CSV byte-identical to artifacts/)"
+make artifacts-diff
+
+echo "== perfbench tests (nested module: workload digests against reference builds)"
+(cd perfbench && go test ./...)
+
 echo "CI green"

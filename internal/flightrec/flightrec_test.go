@@ -2,10 +2,12 @@ package flightrec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -430,6 +432,63 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 	buf.WriteByte(0)
 	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("future container version accepted")
+	}
+}
+
+// corruptRecording is a valid header (no metadata) followed by one frame
+// with the given body.
+func corruptRecording(body ...byte) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	buf.WriteByte(version)
+	buf.WriteByte(0) // no metadata
+	buf.Write(binary.AppendUvarint(nil, uint64(len(body))))
+	buf.Write(body)
+	return buf.Bytes()
+}
+
+// Corrupt counts in a recording must surface as errors: never a panic,
+// and never an allocation sized by the claim rather than by the input.
+func TestReaderRejectsCorruptCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<63)
+	cases := map[string][]byte{
+		// Shard 1<<63 converted to int is negative and would index the
+		// per-shard tables out of range.
+		"event shard 1<<63":    corruptRecording(append([]byte{byte(KindEvent)}, huge...)...),
+		"snapshot shard 1<<63": corruptRecording(append([]byte{byte(KindSnapshot)}, huge...)...),
+		"state shard 1<<63":    corruptRecording(append(append([]byte{byte(KindState)}, huge...), 0)...),
+		// A large positive shard would grow the tables to match it.
+		"event shard above limit": corruptRecording(append([]byte{byte(KindEvent)},
+			binary.AppendUvarint(nil, maxShards)...)...),
+		// A state frame claiming 16M entries in a few bytes of body.
+		"state count beyond body": corruptRecording(append([]byte{byte(KindState), 0},
+			binary.AppendUvarint(nil, maxFrameLen)...)...),
+	}
+	if got := len(cases["event shard 1<<63"]); got != 18 {
+		t.Fatalf("event-shard recording is %d bytes, want 18", got)
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rd, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := rd.Next()
+			runtime.ReadMemStats(&after)
+			if err == nil || err == io.EOF {
+				t.Fatalf("corrupt frame decoded as %#v, err %v", f, err)
+			}
+			// The reader's fixed 64 KiB buffer plus small change; the
+			// claimed counts would have cost megabytes to gigabytes.
+			if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
+				t.Fatalf("decoding a %d-byte recording allocated %d bytes", len(data), n)
+			}
+			if _, err := Replay(bytes.NewReader(data)); err == nil {
+				t.Fatal("Replay accepted the corrupt recording")
+			}
+		})
 	}
 }
 

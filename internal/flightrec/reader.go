@@ -13,6 +13,11 @@ import (
 // for gigabytes. Real frames are tens of bytes; trailers a few kilobytes.
 const maxFrameLen = 16 << 20
 
+// maxShards bounds the shard ids a recording may carry, so a corrupt id can
+// neither index the per-shard tables negatively nor grow them without
+// limit. Real worlds run one shard per region, far below it.
+const maxShards = 1 << 16
+
 // Reader decodes one flight recording sequentially. It mirrors the
 // Recorder's delta and interning state, growing its per-shard tables on
 // demand (the shard count is implied by the frames, not the header, so old
@@ -110,6 +115,16 @@ func (r *Reader) Next() (Frame, error) {
 	return f, nil
 }
 
+// shard decodes a frame's shard id, failing on ids at or above maxShards.
+func (d *dec) shard() int {
+	id := d.u()
+	if id >= maxShards {
+		d.fail("shard id %d out of range", id)
+		return 0
+	}
+	return int(id)
+}
+
 func (r *Reader) grow(shard int) {
 	for len(r.prevAt) <= shard {
 		r.prevAt = append(r.prevAt, 0)
@@ -126,7 +141,7 @@ func (r *Reader) decodeBody(d *dec) Frame {
 	d.pos = 1
 	switch kind {
 	case KindEvent:
-		shard := int(d.u())
+		shard := d.shard()
 		r.grow(shard)
 		topic := d.s()
 		at := r.prevAt[shard] + sim.Time(d.u())
@@ -141,7 +156,7 @@ func (r *Reader) decodeBody(d *dec) Frame {
 		return Frame{Kind: kind, Shard: shard, Topic: topic, At: at, Seq: seq,
 			Payload: decodePayload(name, fs)}
 	case KindSnapshot:
-		shard := int(d.u())
+		shard := d.shard()
 		r.grow(shard)
 		at := r.prevAt[shard] + sim.Time(d.u())
 		fs := d.fields()
@@ -152,9 +167,11 @@ func (r *Reader) decodeBody(d *dec) Frame {
 		return Frame{Kind: kind, Shard: shard, At: at, Snap: Snap{
 			Avail: fs.f(1), LinksDown: int(fs.i(2)), OpenTix: int(fs.i(3)), Fired: fs.u(4)}}
 	case KindState:
-		shard := int(d.u())
+		shard := d.shard()
 		n := d.u()
-		if d.err != nil || n > maxFrameLen {
+		// Every entry takes at least one byte, so a count above the bytes
+		// left is corrupt; checking first bounds the allocation below.
+		if d.err != nil || n > uint64(len(d.b)-d.pos) {
 			d.fail("state frame with %d entries", n)
 			return Frame{}
 		}

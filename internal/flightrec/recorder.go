@@ -56,7 +56,7 @@ func WithConverter(fn func(any) (Payload, bool)) Option {
 // sorted by key) immediately. shards is the shard count frames will be
 // tagged with; plain worlds pass 1.
 func New(w io.Writer, meta map[string]string, shards int, opts ...Option) (*Recorder, error) {
-	if shards < 1 {
+	if shards < 1 || shards > maxShards {
 		return nil, fmt.Errorf("flightrec: %d shards", shards)
 	}
 	r := &Recorder{

@@ -1,11 +1,10 @@
-// Destination-rooted ECMP evaluation: the engine behind EvaluateInto.
+// Destination-rooted ECMP evaluation: the router's one path engine.
 //
-// The per-pair enumerator (paths, kept as the reference implementation and
-// for single-pair consumers like the latency model) re-runs a recursive DFS
-// over the ECMP DAG for every (src,dst) demand and allocates every path as
-// its own slice. Under full uniform injection that is O(sources) DFS walks
-// per destination and millions of small allocations per assessment — the F4
-// bottleneck.
+// A per-pair enumerator (topology.ShortestPaths, kept as the test-only
+// reference) re-runs a recursive DFS over the ECMP DAG for every (src,dst)
+// demand and allocates every path as its own slice. Under full uniform
+// injection that is O(sources) DFS walks per destination and millions of
+// small allocations per assessment — the F4 bottleneck.
 //
 // The destination-rooted engine serves all sources of one destination off a
 // single shared structure: for each destination it memoizes, per device, the
@@ -24,8 +23,7 @@
 // allocated path slices, so a warm evaluation allocates nothing and a
 // rebuild reuses the retained arena.
 //
-// Incremental maintenance extends the router's per-link invalidation: a
-// link transition that can change a destination's DAG shelves that
+// A link transition that can change a destination's DAG shelves that
 // destination's structure instead of discarding it, stamped with the
 // subgraph signature (a Zobrist hash over usable links) it was built under.
 // When the subgraph returns to that exact signature — an undrain restoring
@@ -52,7 +50,6 @@ import (
 // count[d] runs of plen[d] links each, starting at arena[start[d]]; plen[d]
 // is d's BFS distance to the destination at build time.
 type destState struct {
-	stamp uint64 // distance-field stamp the structure was built over
 	sig   uint64 // subgraph signature at build time (see subgraphSig)
 	arena []*topology.Link
 	start []int32
@@ -63,9 +60,9 @@ type destState struct {
 // buildJob is one pending destination rebuild, resolved in prepareDests and
 // executed by buildDest (possibly on a worker goroutine).
 type buildJob struct {
-	dst topology.DeviceID
-	ds  *destState
-	e   distEntry
+	dst  topology.DeviceID
+	ds   *destState
+	dist []int
 }
 
 // destBuilder is per-worker scratch for buildDest: the counting-sort
@@ -147,7 +144,7 @@ func (r *Router) takeState() *destState {
 }
 
 // prepareDests makes every destination of the matrix current: distinct
-// destinations are collected in first-appearance order, valid structures
+// destinations are collected in first-appearance order, current structures
 // are kept, signature-matching shelved structures are restored, and the
 // rest are rebuilt — sharded round-robin across Workers goroutines when
 // more than one rebuild is pending. Rebuilds are pure per-destination
@@ -164,33 +161,24 @@ func (r *Router) prepareDests(tm TrafficMatrix) {
 			continue
 		}
 		r.destMark[dst] = seq
-		e := r.distEntryFor(dst)
-		cur := r.destCur[dst]
-		if cur != nil && cur.stamp == e.stamp {
-			continue // still valid: no affecting transition since it was built
+		if r.destCur[dst] != nil {
+			continue // current: no affecting transition since it was built
 		}
+		// The field comes first even for a shelf restore: a current
+		// structure always has a cached field, which is what InvalidateLink
+		// judges link events against.
+		dist := r.distFor(dst)
 		if sh := r.destShelf[dst]; sh != nil && sh.sig == r.subgraphSig {
 			// The subgraph is bit-for-bit the one the shelved structure was
 			// built under (identical usable set ⇒ identical distances and
-			// DAG): restore it under the current field's stamp.
-			sh.stamp = e.stamp
-			r.destCur[dst] = sh
-			r.destShelf[dst] = cur // may be nil
+			// DAG): restore it.
+			r.destCur[dst], r.destShelf[dst] = sh, nil
 			continue
 		}
 		ds := r.takeState()
 		//lint:allow hotpathalloc rebuild queue growth; the slice is retained on the router and reused every evaluation
-		pending = append(pending, buildJob{dst: dst, ds: ds, e: e})
+		pending = append(pending, buildJob{dst: dst, ds: ds, dist: dist})
 		r.destCur[dst] = ds
-		if cur != nil {
-			// Demote the stale structure to the shelf: the subgraph may
-			// return to its build signature (drain/undrain sweeps do).
-			if old := r.destShelf[dst]; old != nil {
-				//lint:allow hotpathalloc free-list growth; bounded by destinations, backing array retained
-				r.freeStates = append(r.freeStates, old)
-			}
-			r.destShelf[dst] = cur
-		}
 	}
 	r.pending = pending
 	if len(pending) == 0 {
@@ -203,7 +191,7 @@ func (r *Router) prepareDests(tm TrafficMatrix) {
 	if workers <= 1 {
 		b := r.builderFor(0)
 		for _, j := range pending {
-			r.buildDest(b, j.ds, j.dst, j.e)
+			r.buildDest(b, j.ds, j.dst, j.dist)
 		}
 		return
 	}
@@ -222,7 +210,7 @@ func (r *Router) runBuilds(pending []buildJob, workers int) {
 			defer wg.Done()
 			for i := w; i < len(pending); i += workers {
 				j := pending[i]
-				r.buildDest(b, j.ds, j.dst, j.e)
+				r.buildDest(b, j.ds, j.dst, j.dist)
 			}
 		}(w, r.builderFor(w))
 	}
@@ -238,7 +226,7 @@ func (r *Router) builderFor(w int) *destBuilder {
 	return r.builders[w]
 }
 
-// buildDest materializes dst's suffix structure over distance field e.
+// buildDest materializes dst's suffix structure over distance field dist.
 // Devices are processed in ascending BFS distance (ties in device-ID order,
 // via a counting sort), so each suffix is one link prepended to an
 // already-built suffix of the next hop. Neighbor links are visited in
@@ -252,12 +240,11 @@ func (r *Router) builderFor(w int) *destBuilder {
 // are race-free.
 //
 //selfmaint:hotpath
-func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID, e distEntry) {
+func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID, dist []int) {
 	nd := len(r.net.Devices)
 	ds.start = growInt32(ds.start, nd)
 	ds.count = growInt32(ds.count, nd)
 	ds.plen = growInt32(ds.plen, nd)
-	dist := e.dist
 	maxd, reach := 0, 0
 	for _, dd := range dist {
 		if dd > maxd {
@@ -327,6 +314,5 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 		ds.start[d], ds.count[d], ds.plen[d] = base, cnt, k
 	}
 	ds.arena = arena
-	ds.stamp = e.stamp
 	ds.sig = r.subgraphSig
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -50,25 +51,25 @@ func buildTopo(t *testing.T, kind string) *topology.Network {
 // executable specification: across topology families × randomized
 // drain/fault/repair sequences × seeds, an incrementally maintained engine
 // router at every worker count produces Assessments byte-identical to the
-// per-pair enumerator on a router that full-flushes after every change.
+// per-pair enumerator (topology.ShortestPaths) computed from scratch.
 func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
 	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander"} {
 		for _, seed := range []uint64{3, 11, 29} {
 			net := buildTopo(t, kind)
-			down := map[topology.LinkID]bool{}
+			down := make([]bool, len(net.Links))
 			health := func(id topology.LinkID) bool { return !down[id] }
-			ref := NewRouter(net, health)
 			engines := make([]*Router, len(workerCounts))
 			wss := make([]Workspace, len(workerCounts))
 			for i, w := range workerCounts {
 				engines[i] = NewRouter(net, health)
 				engines[i].Workers = w
 			}
-			var refWS Workspace
 			tm := UniformMatrix(net, 700)
 			fabric := net.SwitchLinks()
 			rng := rand.New(rand.NewPCG(seed, 0xd357))
+			var want Assessment
+			var wantFor []bool // usable set want was computed over
 			for step := 0; step < 20; step++ {
 				l := fabric[rng.IntN(len(fabric))]
 				switch rng.IntN(4) {
@@ -77,22 +78,27 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 				case 1: // repair or flap-up
 					down[l.ID] = false
 				case 2:
-					ref.Drain(l.ID)
 					for _, e := range engines {
 						e.Drain(l.ID)
 					}
 				case 3:
-					ref.Undrain(l.ID)
 					for _, e := range engines {
 						e.Undrain(l.ID)
 					}
 				}
-				ref.InvalidateLink(l.ID)
 				for _, e := range engines {
 					e.InvalidateLink(l.ID)
 				}
-				ref.Invalidate() // the reference always full-flushes
-				want := ref.referenceEvaluateInto(&refWS, tm)
+				// The reference is a pure function of the usable view
+				// (health plus drains) and never reads the cache; it is
+				// recomputed whenever that view changed.
+				usable := make([]bool, len(net.Links))
+				for i, l := range net.Links {
+					usable[i] = engines[0].Usable(l)
+				}
+				if !slices.Equal(usable, wantFor) {
+					want, wantFor = referenceEvaluate(engines[0], tm, referenceRoutes(engines[0], tm)), usable
+				}
 				for i, e := range engines {
 					got := e.EvaluateInto(&wss[i], tm)
 					if !reflect.DeepEqual(got, want) {
@@ -100,6 +106,62 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 							kind, seed, step, workerCounts[i], got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// Differential property for the latency model's port onto the arenas:
+// WorstPairLatency must equal the per-percentile maximum of PathLatency over
+// the per-pair enumerator's paths for every demand — on a cold router that
+// never evaluated, and across randomized drain/fault/repair sequences, with
+// and without an EvaluateInto between the link event and the query.
+func TestWorstPairLatencyMatchesPerPairEnumerator(t *testing.T) {
+	lm := DefaultLatencyModel()
+	// Lossy links spread over the fabric give the tail something to find.
+	loss := func(id topology.LinkID) float64 {
+		if id%7 == 3 {
+			return 0.04 * float64(id%5+1)
+		}
+		return 0
+	}
+	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander"} {
+		net := buildTopo(t, kind)
+		tm := UniformMatrix(net, 2000)
+
+		cold := NewRouter(net, nil)
+		routes := referenceRoutes(cold, tm)
+		a := referenceEvaluate(cold, tm, routes)
+		if got, want := lm.WorstPairLatency(cold, tm, a, loss), referenceWorstPairLatency(lm, cold, routes, a, loss); got != want {
+			t.Fatalf("%s cold router: %+v != per-pair reference %+v", kind, got, want)
+		}
+
+		down := make([]bool, len(net.Links))
+		r := NewRouter(net, func(id topology.LinkID) bool { return !down[id] })
+		var ws Workspace
+		fabric := net.SwitchLinks()
+		rng := rand.New(rand.NewPCG(7, 0x1a7))
+		for step := 0; step < 10; step++ {
+			l := fabric[rng.IntN(len(fabric))]
+			switch rng.IntN(4) {
+			case 0:
+				down[l.ID] = true
+			case 1:
+				down[l.ID] = false
+			case 2:
+				r.Drain(l.ID)
+			case 3:
+				r.Undrain(l.ID)
+			}
+			r.InvalidateLink(l.ID)
+			routes = referenceRoutes(r, tm)
+			if step%2 == 0 {
+				a = r.EvaluateInto(&ws, tm)
+			} else {
+				a = referenceEvaluate(r, tm, routes) // leave the engine's structures stale
+			}
+			if got, want := lm.WorstPairLatency(r, tm, a, loss), referenceWorstPairLatency(lm, r, routes, a, loss); got != want {
+				t.Fatalf("%s step %d: %+v != per-pair reference %+v", kind, step, got, want)
 			}
 		}
 	}
@@ -160,7 +222,7 @@ func TestDrainSweepWarmZeroAlloc(t *testing.T) {
 		r.EvaluateInto(&ws, tm)
 	}
 	// Warm every buffer the cycle can touch: both links' drained and
-	// restored states, free lists, arenas, and the pair cache.
+	// restored states, free lists and arenas.
 	for i := 0; i < 3; i++ {
 		cycle(l0)
 		cycle(l1)
@@ -185,11 +247,11 @@ func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	}
 
 	dst := tm.Demands[0].Dst
-	e := r.distEntryFor(dst)
+	d := r.distFor(dst)
 	ds := r.destCur[dst]
 	b := r.builderFor(0)
-	r.buildDest(b, ds, dst, e) // size the builder scratch and arena
-	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(b, ds, dst, e) }); allocs > 0 {
+	r.buildDest(b, ds, dst, d) // size the builder scratch and arena
+	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(b, ds, dst, d) }); allocs > 0 {
 		t.Fatalf("buildDest into recycled state allocated %.1f/op, want 0", allocs)
 	}
 }

@@ -101,16 +101,16 @@ func TestInvalidateLinkNoOpWhenUsabilityUnchanged(t *testing.T) {
 	r := NewRouter(n, nil)
 	tm := UniformMatrix(n, 200)
 	r.Evaluate(tm)
-	e, nd := r.Epoch(), len(r.distCache)
+	e, nd := r.Epoch(), cachedFields(r)
 	if nd == 0 {
 		t.Fatal("no distance fields cached after evaluation")
 	}
 	for _, l := range n.SwitchLinks() {
 		r.InvalidateLink(l.ID)
 	}
-	if r.Epoch() != e || len(r.distCache) != nd {
+	if r.Epoch() != e || cachedFields(r) != nd {
 		t.Fatalf("no-op invalidation disturbed the cache: epoch %d->%d, fields %d->%d",
-			e, r.Epoch(), nd, len(r.distCache))
+			e, r.Epoch(), nd, cachedFields(r))
 	}
 }
 
@@ -202,37 +202,73 @@ func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 
 // Each //selfmaint:hotpath function inside the router holds at zero
 // steady-state allocations individually, not just through EvaluateInto:
-// warm-cache path lookup, distance-field recycling, and path-slice
-// recycling all serve from retained buffers.
+// warm-cache route lookup and distance-field recycling both serve from
+// retained buffers.
 func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 	n := leafSpine(t, 4, 2, 4, 1)
 	r := NewRouter(n, nil)
 	tm := UniformMatrix(n, 300)
 	var ws Workspace
-	r.EvaluateInto(&ws, tm) // warm caches, deps indexes and free lists
+	r.EvaluateInto(&ws, tm) // warm caches and free lists
 	d0 := tm.Demands[0]
 
-	// paths + distEntryFor on the warm cache.
-	if allocs := testing.AllocsPerRun(100, func() { r.paths(d0.Src, d0.Dst) }); allocs != 0 {
-		t.Fatalf("warm paths() allocated %.1f/op", allocs)
+	// route + distFor on the warm cache.
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.distFor(d0.Dst)
+		r.route(d0.Src, d0.Dst)
+	}); allocs != 0 {
+		t.Fatalf("warm distFor/route allocated %.1f/op", allocs)
 	}
 
-	// distEntryFor recomputing an evicted field must serve from the
-	// distance free list and the retained BFS queue.
+	// distFor recomputing an evicted field must serve from the distance
+	// free list and the retained BFS queue.
 	if allocs := testing.AllocsPerRun(100, func() {
-		e := r.distCache[d0.Dst]
-		r.evictDist(d0.Dst, e)
-		r.distEntryFor(d0.Dst)
+		r.evictDist(d0.Dst)
+		r.distFor(d0.Dst)
 	}); allocs != 0 {
-		t.Fatalf("evict+recompute distEntryFor allocated %.1f/op", allocs)
+		t.Fatalf("evict+recompute distFor allocated %.1f/op", allocs)
 	}
+}
 
-	// newPath must serve from the path free list once one is warm.
-	r.freePaths = append(r.freePaths, make(topology.Path, 8))
-	if allocs := testing.AllocsPerRun(100, func() {
-		p := r.newPath(4)
-		r.freePaths = append(r.freePaths, p)
-	}); allocs != 0 {
-		t.Fatalf("recycled newPath allocated %.1f/op", allocs)
+// Link events are judged per cached field by the tightness test alone. A
+// link going down evicts exactly the fields in which it joins two devices
+// one hop apart. A link coming up shelves the structure of every field
+// ranking its endpoints differently, and evicts those ranking them two or
+// more apart (or with one side unreachable). Everything else stays cached.
+func TestLinkEventEvictsOnlyTightFields(t *testing.T) {
+	n := buildTopo(t, "fattree")
+	r := NewRouter(n, nil)
+	tm := UniformMatrix(n, 700)
+	var ws Workspace
+	check := func(l *topology.Link, up bool, change func()) {
+		t.Helper()
+		r.EvaluateInto(&ws, tm)
+		a, b := l.A.Device.ID, l.B.Device.ID
+		before := append([][]int(nil), r.dist...)
+		change()
+		for dst, d := range before {
+			if d == nil {
+				continue
+			}
+			da, db := d[a], d[b]
+			tight := da >= 0 && db >= 0 && (da-db == 1 || db-da == 1)
+			evict, shelve := tight, tight
+			if up {
+				evict, shelve = da != db && !tight, da != db
+			}
+			if kept := r.dist[dst] != nil; kept == evict {
+				t.Fatalf("link %d up=%v dst %d (%d,%d): field kept=%v", l.ID, up, dst, da, db, kept)
+			}
+			if kept := r.destCur[dst] != nil; kept == shelve {
+				t.Fatalf("link %d up=%v dst %d (%d,%d): structure kept=%v", l.ID, up, dst, da, db, kept)
+			}
+		}
+		if got, want := r.EvaluateInto(&ws, tm), freshEvaluate(r, tm); !reflect.DeepEqual(asValue(got), asValue(want)) {
+			t.Fatalf("link %d up=%v: %v != fresh %v", l.ID, up, got, want)
+		}
+	}
+	for _, l := range n.SwitchLinks() {
+		check(l, false, func() { r.Drain(l.ID) })
+		check(l, true, func() { r.Undrain(l.ID) })
 	}
 }

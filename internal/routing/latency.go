@@ -99,6 +99,8 @@ func clampLoss(v float64) float64 {
 // WorstPairLatency evaluates the model over every demand of a matrix using
 // the router's current paths and an assessment's loads, returning the worst
 // P99 and P999 observed — the fabric-level tail a flapping link creates.
+// Paths come from the same destination-rooted structures EvaluateInto
+// reads, so a preceding evaluation of tm leaves nothing to rebuild.
 func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessment, loss LossFn) Percentiles {
 	util := func(id topology.LinkID) float64 {
 		cap := r.net.Links[id].GbpsCap
@@ -107,10 +109,12 @@ func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessmen
 		}
 		return a.LinkLoad[id] / cap
 	}
+	r.prepareDests(tm)
 	var worst Percentiles
 	for _, d := range tm.Demands {
-		for _, p := range r.paths(d.Src, d.Dst) {
-			pc := lm.PathLatency(p, util, loss)
+		blk, _, plen := r.route(d.Src, d.Dst)
+		for p := 0; p < len(blk); p += plen {
+			pc := lm.PathLatency(blk[p:p+plen], util, loss)
 			if pc.P99 > worst.P99 {
 				worst.P99 = pc.P99
 			}

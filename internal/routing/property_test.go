@@ -41,7 +41,7 @@ func TestPathsAreShortestAndLoopFreeProperty(t *testing.T) {
 			return true
 		}
 		want := net.HopDistances(dst, nil)[src]
-		paths := r.paths(src, dst)
+		paths := enginePaths(r, src, dst)
 		if want < 0 {
 			return len(paths) == 0
 		}

@@ -10,14 +10,24 @@
 // topology studies; packet-level effects enter only through the latency
 // model.
 //
-// Cache maintenance is incremental, with two reverse indexes: every cached
-// BFS distance field records which links it crossed (link→destinations), and
-// every cached path set records which links its paths traverse (link→pairs).
-// A single link state change re-verifies only the fields that could have
-// changed — most survive a loss untouched thanks to ECMP redundancy — and
-// re-enumerates only the path sets that actually used the link; everything
-// else is validated lazily against epoch stamps. Invalidate remains as the
-// full-flush fallback for bulk edits.
+// The router keeps one cache, keyed by destination: a BFS distance field
+// (dist[dst], nil when absent) and the destination-rooted ECMP structure
+// built over it (destroot.go), which is current iff destCur[dst] != nil.
+// Every consumer — EvaluateInto and the latency model alike — reads its
+// paths from those structures. A link state change is decided per cached
+// field in O(1) by one rule: a link a↔b lies on a shortest path toward dst
+// iff both endpoints are reachable and |dist[a]−dist[b]| == 1 (the link is
+// "tight" in the field).
+//
+//   - A link going down evicts the fields it is tight in, to be recomputed
+//     on next use, and shelves their structures. Every other field keeps
+//     both its distances and its ECMP DAG.
+//   - A link coming up leaves equidistant fields untouched. Fields ranking
+//     its endpoints exactly one apart keep their distances but gain a DAG
+//     edge, so only their structures are shelved. Fields ranking them two
+//     or more apart, or with one side unreachable, shorten and are evicted.
+//
+// Invalidate remains as the full-flush fallback for bulk edits.
 package routing
 
 import (
@@ -29,32 +39,6 @@ import (
 // HealthFn reports whether a link is physically up (not Down and not being
 // worked on). The fault injector's Observable view supplies this.
 type HealthFn func(topology.LinkID) bool
-
-// distEntry is one cached BFS distance field toward a destination, stamped
-// with the cache epoch it was computed under.
-type distEntry struct {
-	dist  []int
-	stamp uint64
-}
-
-// pathEntry is one cached ECMP path set, stamped with the epoch of the
-// distance field it was enumerated over. The entry is valid only while the
-// destination's field still carries the same stamp — evicting a field
-// lazily invalidates every path set built on it, with no dst→pairs index.
-// seq is the entry's identity in the link→pairs index; refs whose seq no
-// longer matches the cached entry are stale and skipped.
-type pathEntry struct {
-	paths []topology.Path
-	stamp uint64
-	seq   uint64
-}
-
-// pairRef points from a link into the path-set cache: the entry for key
-// traversed the link when it was enumerated (valid while seq matches).
-type pairRef struct {
-	key [2]topology.DeviceID
-	seq uint64
-}
 
 // Router computes paths and loads over the currently usable subgraph.
 type Router struct {
@@ -72,38 +56,20 @@ type Router struct {
 	// knob only: results are byte-identical at any setting.
 	Workers int
 
-	cache     map[[2]topology.DeviceID]pathEntry
-	distCache map[topology.DeviceID]distEntry
-	// linkDeps is the reverse index: linkDeps[id] maps each destination
-	// whose cached distance field crossed link id on a shortest path to the
-	// stamp of that field. Entries whose stamp no longer matches the cached
-	// field are stale and skipped; map-overwrite semantics bound the index
-	// at one entry per (link, destination).
-	linkDeps []map[topology.DeviceID]uint64
-	// linkPairs is the finer reverse index: linkPairs[id] lists the cached
-	// path sets whose paths traverse link id. When the link leaves the usable
-	// subgraph, exactly these pairs re-enumerate; every other pair keeps its
-	// paths (ECMP redundancy means most distance fields survive a link loss
-	// unchanged). Stale refs are skipped via the seq check and each list is
-	// reset when its link's down-transition is processed.
-	linkPairs [][]pairRef
-	pairSeq   uint64
+	// dist holds each destination's cached BFS distance field (index:
+	// DeviceID), nil when absent.
+	dist [][]int
 	// lastUsable snapshots each link's usability as of the last (in)validation,
 	// so health transitions that do not change usability (e.g. Healthy →
 	// Flapping, which still carries traffic) cost nothing.
 	lastUsable []bool
-	// cacheEpoch stamps distance fields and path sets; it advances on every
-	// effective invalidation, so stale entries fail their stamp comparison
-	// instead of needing eager eviction.
+	// cacheEpoch counts effective invalidations (see Epoch).
 	cacheEpoch uint64
 
-	usableFn    topology.Usable     // cached method value, avoids per-call closure allocs
-	queue       []topology.DeviceID // BFS scratch
-	freeDists   [][]int             // recycled distance fields
-	freePaths   []topology.Path     // recycled path slices
-	linkMark    []uint64            // per-link dedup scratch for pair registration
-	scratchDist []int               // BFS compare scratch for down-transitions
-	ws          Workspace           // Evaluate's internal workspace
+	usableFn  topology.Usable     // cached method value, avoids per-call closure allocs
+	queue     []topology.DeviceID // BFS scratch
+	freeDists [][]int             // recycled distance fields
+	ws        Workspace           // Evaluate's internal workspace
 
 	// Destination-rooted engine state (destroot.go). destCur holds each
 	// destination's current suffix structure; destShelf is a one-slot
@@ -128,12 +94,8 @@ func NewRouter(net *topology.Network, health HealthFn) *Router {
 		health:     health,
 		drained:    make([]bool, len(net.Links)),
 		MaxPaths:   8,
-		cache:      make(map[[2]topology.DeviceID]pathEntry),
-		distCache:  make(map[topology.DeviceID]distEntry),
-		linkDeps:   make([]map[topology.DeviceID]uint64, len(net.Links)),
-		linkPairs:  make([][]pairRef, len(net.Links)),
+		dist:       make([][]int, len(net.Devices)),
 		lastUsable: make([]bool, len(net.Links)),
-		linkMark:   make([]uint64, len(net.Links)),
 		destCur:    make([]*destState, len(net.Devices)),
 		destShelf:  make([]*destState, len(net.Devices)),
 		destMark:   make([]uint64, len(net.Devices)),
@@ -188,29 +150,15 @@ func (r *Router) Drained(id topology.LinkID) bool { return r.drained[id] }
 func (r *Router) DrainedCount() int { return r.drainedN }
 
 // Epoch returns the current cache epoch. It advances exactly when an
-// invalidation changed the usable subgraph, so tests can assert that no-op
-// transitions cost nothing.
+// invalidation changed the usable subgraph (or Invalidate flushed), so
+// tests can assert that no-op transitions cost nothing.
 func (r *Router) Epoch() uint64 { return r.cacheEpoch }
 
 // InvalidateLink reacts to a state change of one link (flap, drain, undrain,
-// repair), evicting only the cached state the change can affect:
-//
-//   - If the link's usability did not change (a Healthy→Flapping transition,
-//     a drain of an already-down link), nothing is evicted.
-//   - If the link left the usable subgraph, only destinations whose distance
-//     field crossed it on a shortest path (per the reverse index) can change,
-//     and most of those survive unchanged thanks to ECMP redundancy — their
-//     fields are verified in place and only the path sets that actually
-//     traversed the link (per the link→pairs index) re-enumerate.
-//   - If the link joined the subgraph, a destination's field changes only if
-//     the link bridges devices the field ranks ≥2 apart (an edge between
-//     equidistant devices can never lie on a shortest path; one bridging a
-//     single hop leaves all distances intact). For surviving fields the new
-//     edge may still join the ECMP DAG, so the pairs it would serve — decided
-//     in O(1) from the two endpoint fields — are evicted exactly.
-//
-// Evicting a distance field implicitly invalidates its dependent path sets
-// via the epoch stamp; they are re-enumerated on next use.
+// repair). If the link's usability did not change (a Healthy→Flapping
+// transition, a drain of an already-down link), nothing happens. Otherwise
+// each cached distance field is judged in O(1) by the tightness of the link
+// in it, as the package documentation describes.
 func (r *Router) InvalidateLink(id topology.LinkID) {
 	l := r.net.Links[id]
 	u := r.Usable(l)
@@ -220,179 +168,64 @@ func (r *Router) InvalidateLink(id topology.LinkID) {
 	r.lastUsable[id] = u
 	r.subgraphSig ^= destLinkSig(id) // toggle the link in/out of the Zobrist hash
 	r.cacheEpoch++
-	if !u {
-		r.linkDown(id)
-	} else {
-		r.linkUp(id, l.A.Device.ID, l.B.Device.ID)
-	}
-}
-
-// linkDown handles link id leaving the usable subgraph. Each distance field
-// that recorded the link as tight is recomputed and compared: an unchanged
-// field keeps its stamp (so its path sets stay valid), a changed one is
-// swapped in under a fresh stamp. Path sets that traversed the link are
-// evicted exactly, via the link→pairs index.
-func (r *Router) linkDown(id topology.LinkID) {
-	deps := r.linkDeps[id]
-	//lint:allow mapiter per-destination re-verification; cache updates are keyed and buffer recycling order is unobservable
-	for dst, stamp := range deps {
-		e, ok := r.distCache[dst]
-		if !ok || e.stamp != stamp {
-			continue // stale registration; the field was already replaced
+	a, b := l.A.Device.ID, l.B.Device.ID
+	for i, d := range r.dist {
+		if d == nil {
+			continue
 		}
-		// The link was tight toward dst, so dst's ECMP DAG lost an edge even
-		// when the distances below survive: shelve the destination-rooted
-		// structure (an undrain restores it via the subgraph signature).
-		r.shelveDest(dst)
-		if cap(r.scratchDist) < len(r.net.Devices) {
-			r.scratchDist = make([]int, len(r.net.Devices))
-		}
-		nd := r.scratchDist[:len(r.net.Devices)]
-		r.queue = r.net.HopDistancesInto(dst, r.usableFn, nd, r.queue)
-		if intsEqual(nd, e.dist) {
-			continue // redundancy absorbed the loss: field, stamp and deps stand
-		}
-		// Distances changed: install the freshly computed field under a new
-		// stamp; dependent path sets go stale lazily via the stamp check.
-		r.scratchDist = e.dist
-		r.distCache[dst] = distEntry{dist: nd, stamp: r.cacheEpoch}
-		r.recordDeps(dst, nd, r.cacheEpoch)
-	}
-	clear(deps)
-	for _, ref := range r.linkPairs[id] {
-		if pe, ok := r.cache[ref.key]; ok && pe.seq == ref.seq {
-			r.evictPair(ref.key, pe)
-		}
-	}
-	r.linkPairs[id] = r.linkPairs[id][:0]
-}
-
-// linkUp handles the link a↔b joining the usable subgraph. Fields ranking
-// the endpoints equal are untouched; fields ranking them ≥2 apart (or one
-// side unreachable) shorten and are evicted. Fields ranking them exactly one
-// apart keep their distances but gain a DAG edge: the pair scan evicts
-// precisely the (src,dst) sets for which some shortest path now crosses the
-// new edge — src reaches one endpoint, the hop descends toward dst, and the
-// combined length matches the cached src→dst distance.
-func (r *Router) linkUp(id topology.LinkID, a, b topology.DeviceID) {
-	//lint:allow mapiter keyed evictions and dep registrations; free-list order is unobservable
-	for dst, e := range r.distCache {
-		da, db := e.dist[a], e.dist[b]
+		da, db := d[a], d[b]
 		if da == db {
 			continue // equidistant (or both unreachable): never on a shortest path
 		}
-		if da < 0 || db < 0 || da-db > 1 || db-da > 1 {
-			r.shelveDest(dst)
-			r.evictDist(dst, e) // the link shortens or newly connects routes to dst
-			continue
+		tight := da >= 0 && db >= 0 && (da-db == 1 || db-da == 1)
+		if !u && !tight {
+			continue // the lost link was on no shortest path: field and DAG stand
 		}
-		// |da-db| == 1: distances survive, but the link is now tight toward
-		// dst — register it so a future down-transition re-verifies this
-		// field, and let the pair scan below handle the DAG change. The
-		// destination's DAG gained an edge, so its suffix structure retires
-		// to the shelf (an undrain round trip restores the pre-drain one).
+		dst := topology.DeviceID(i)
+		// Either way the destination's DAG changed. An undrain restores the
+		// shelved pre-drain structure via the subgraph signature.
 		r.shelveDest(dst)
-		deps := r.linkDeps[id]
-		if deps == nil {
-			deps = make(map[topology.DeviceID]uint64)
-			r.linkDeps[id] = deps
-		}
-		deps[dst] = e.stamp
-	}
-	//lint:allow mapiter keyed pair evictions; free-list order is unobservable
-	for key, pe := range r.cache {
-		dst := key[1]
-		de, ok := r.distCache[dst]
-		if !ok || de.stamp != pe.stamp {
-			continue // already stale; re-enumerates on next use
-		}
-		x, y := a, b
-		dx, dy := de.dist[x], de.dist[y]
-		if dx < dy {
-			x, dx, dy = y, dy, dx
-		}
-		if dx < 0 || dy < 0 || dx-dy != 1 {
-			continue // link not tight toward dst: no new paths for any source
-		}
-		t := de.dist[key[0]]
-		if t < 0 {
-			continue // still unreachable: surviving fields are exact
-		}
-		se, ok := r.distCache[key[0]]
-		if !ok {
-			// No field for the source end, so we cannot prove the new edge
-			// lies off every shortest path; evict conservatively.
-			r.evictPair(key, pe)
-			continue
-		}
-		if sx := se.dist[x]; sx >= 0 && sx+1+dy == t {
-			r.evictPair(key, pe) // the new edge is on a shortest src→dst path
+		if !u || !tight {
+			// A tight link went down (distances may grow), or a link bridging
+			// ≥2 hops came up (distances shrink): recompute on next use.
+			r.evictDist(dst)
 		}
 	}
 }
 
-func (r *Router) evictDist(dst topology.DeviceID, e distEntry) {
-	delete(r.distCache, dst)
-	r.freeDists = append(r.freeDists, e.dist)
+func (r *Router) evictDist(dst topology.DeviceID) {
+	r.freeDists = append(r.freeDists, r.dist[dst])
+	r.dist[dst] = nil
 }
 
-func (r *Router) evictPair(key [2]topology.DeviceID, pe pathEntry) {
-	delete(r.cache, key)
-	r.freePaths = append(r.freePaths, pe.paths...)
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Invalidate flushes every cached distance field and path set — the
-// fallback for bulk topology edits or direct health-map mutation outside
-// the per-link notification path. Single-link transitions should use
-// InvalidateLink instead.
+// Invalidate flushes every cached distance field and shelves every
+// destination structure — the fallback for bulk topology edits or direct
+// health-map mutation outside the per-link notification path. Single-link
+// transitions should use InvalidateLink instead. Shelved structures stay
+// restorable: the recomputed signature keeps the shelf check exact even
+// after bulk edits.
 func (r *Router) Invalidate() {
 	r.cacheEpoch++
-	//lint:allow mapiter full flush; free-list recycling order is unobservable (buffers are overwritten before reuse)
-	for _, pe := range r.cache {
-		r.freePaths = append(r.freePaths, pe.paths...)
-	}
-	clear(r.cache)
-	//lint:allow mapiter full flush; free-list recycling order is unobservable (buffers are overwritten before reuse)
-	for _, e := range r.distCache {
-		r.freeDists = append(r.freeDists, e.dist)
-	}
-	clear(r.distCache)
-	for _, deps := range r.linkDeps {
-		clear(deps)
-	}
-	for i := range r.linkPairs {
-		r.linkPairs[i] = r.linkPairs[i][:0]
-	}
 	for i, l := range r.net.Links {
 		r.lastUsable[i] = r.Usable(l)
 	}
 	r.recomputeSubgraphSig()
-	// Destination-rooted structures are not flushed here: stale ones fail
-	// their stamp comparison on next use (the fresh fields carry the new
-	// epoch), and shelved ones stay restorable — the recomputed signature
-	// makes the validity check exact even after bulk edits.
+	for i, d := range r.dist {
+		if d != nil {
+			r.shelveDest(topology.DeviceID(i))
+			r.evictDist(topology.DeviceID(i))
+		}
+	}
 }
 
-// distEntryFor returns the cached BFS distance field toward dst, computing
-// and indexing it if absent. Caching per destination is what makes
+// distFor returns the BFS distance field toward dst, computing it into a
+// recycled buffer when absent. Caching per destination is what makes
 // evaluating thousands of demands cheap: one BFS serves every source.
 //
 //selfmaint:hotpath
-func (r *Router) distEntryFor(dst topology.DeviceID) distEntry {
-	if e, ok := r.distCache[dst]; ok {
-		return e
+func (r *Router) distFor(dst topology.DeviceID) []int {
+	if d := r.dist[dst]; d != nil {
+		return d
 	}
 	var d []int
 	if n := len(r.freeDists); n > 0 {
@@ -404,106 +237,24 @@ func (r *Router) distEntryFor(dst topology.DeviceID) distEntry {
 		d = make([]int, len(r.net.Devices))
 	}
 	r.queue = r.net.HopDistancesInto(dst, r.usableFn, d, r.queue)
-	e := distEntry{dist: d, stamp: r.cacheEpoch}
-	r.distCache[dst] = e
-	r.recordDeps(dst, d, e.stamp)
-	return e
+	r.dist[dst] = d
+	return d
 }
 
-// recordDeps registers which usable links the field depends on: exactly the
-// links on some shortest path toward dst. Any other link's state change
-// leaves both the distances and the ECMP DAG untouched.
-func (r *Router) recordDeps(dst topology.DeviceID, d []int, stamp uint64) {
-	r.net.ShortestPathLinks(d, r.usableFn, func(l *topology.Link) {
-		deps := r.linkDeps[l.ID]
-		if deps == nil {
-			deps = make(map[topology.DeviceID]uint64)
-			r.linkDeps[l.ID] = deps
-		}
-		deps[dst] = stamp
-	})
-}
-
-// paths returns cached equal-cost shortest paths for a pair, enumerated
-// over the ECMP DAG induced by the cached distance field. A cached set is
-// served only while its stamp matches the field it was built over.
+// route returns the equal-cost paths from src to dst as a span of dst's
+// arena: n paths of plen links each, back to back in block. n is zero when
+// src == dst or dst is unreachable. dst's structure must be current (see
+// prepareDests).
 //
 //selfmaint:hotpath
-func (r *Router) paths(src, dst topology.DeviceID) []topology.Path {
+func (r *Router) route(src, dst topology.DeviceID) (block []*topology.Link, n, plen int) {
 	if src == dst {
-		return nil
+		return nil, 0, 0
 	}
-	e := r.distEntryFor(dst)
-	key := [2]topology.DeviceID{src, dst}
-	if pe, ok := r.cache[key]; ok {
-		if pe.stamp == e.stamp {
-			return pe.paths
-		}
-		r.freePaths = append(r.freePaths, pe.paths...)
-	}
-	var out []topology.Path
-	if dist := e.dist; dist[src] >= 0 {
-		var cur topology.Path
-		var walk func(d topology.DeviceID)
-		walk = func(d topology.DeviceID) {
-			if len(out) >= r.MaxPaths {
-				return
-			}
-			if d == dst {
-				p := r.newPath(len(cur))
-				copy(p, cur)
-				out = append(out, p)
-				return
-			}
-			for _, np := range r.net.Neighbors(d) {
-				if !r.Usable(np.Link) {
-					continue
-				}
-				if pd := dist[np.Peer.ID]; pd >= 0 && pd == dist[d]-1 {
-					//lint:allow hotpathalloc cache-miss enumeration only; cur grows to max path depth once, then reuses capacity
-					cur = append(cur, np.Link)
-					walk(np.Peer.ID)
-					cur = cur[:len(cur)-1]
-					if len(out) >= r.MaxPaths {
-						return
-					}
-				}
-			}
-		}
-		walk(src)
-	}
-	r.pairSeq++
-	r.cache[key] = pathEntry{paths: out, stamp: e.stamp, seq: r.pairSeq}
-	// Register every distinct link the paths traverse in the link→pairs
-	// index, so a down-transition can evict exactly this entry.
-	for _, p := range out {
-		for _, l := range p {
-			if r.linkMark[l.ID] != r.pairSeq {
-				r.linkMark[l.ID] = r.pairSeq
-				//lint:allow hotpathalloc cache-miss index registration; per-link lists retain capacity across resets
-				r.linkPairs[l.ID] = append(r.linkPairs[l.ID], pairRef{key: key, seq: r.pairSeq})
-			}
-		}
-	}
-	return out
-}
-
-// newPath returns a path slice of length n, recycled from evicted entries
-// when one with enough capacity is available.
-//
-//selfmaint:hotpath
-func (r *Router) newPath(n int) topology.Path {
-	for len(r.freePaths) > 0 {
-		last := len(r.freePaths) - 1
-		p := r.freePaths[last]
-		r.freePaths[last] = nil
-		r.freePaths = r.freePaths[:last]
-		if cap(p) >= n {
-			return p[:n]
-		}
-	}
-	//lint:allow hotpathalloc free-list miss; evicted path slices are recycled, steady state reuses buffers
-	return make(topology.Path, n)
+	ds := r.destCur[dst]
+	n, plen = int(ds.count[src]), int(ds.plen[src])
+	s := int(ds.start[src])
+	return ds.arena[s : s+n*plen], n, plen
 }
 
 // Assessment is the result of evaluating a traffic matrix.
@@ -536,13 +287,11 @@ func (a Assessment) String() string {
 		a.OfferedGbps, a.SatisfiedGbps, a.Availability(), a.Unreachable, a.MaxUtil)
 }
 
-// routed is one demand's routing decision within an evaluation. The engine
-// path records the arena-backed span (block of n suffixes, plen links each);
-// the reference enumerator records the per-pair path list.
+// routed is one demand's routing decision within an evaluation: the
+// arena-backed span from route (block of n paths, plen links each).
 type routed struct {
 	block   []*topology.Link
 	n, plen int
-	paths   []topology.Path
 	share   float64
 }
 
@@ -589,9 +338,9 @@ func (r *Router) Evaluate(tm TrafficMatrix) Assessment {
 // Path resolution runs on the destination-rooted engine (destroot.go): one
 // shared suffix structure per destination serves every source, in place of
 // an independent DFS per pair. The accumulation loops below run in demand
-// order over the same per-pair path sequences the reference enumerator
-// produces, so every float summation order — and the Assessment — is
-// byte-identical to referenceEvaluateInto at any Workers setting.
+// order over the same per-pair path sequences topology.ShortestPaths
+// enumerates, so every float summation order — and the Assessment — is
+// byte-identical to a per-pair evaluation at any Workers setting.
 //
 //selfmaint:hotpath
 func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
@@ -612,20 +361,12 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 	}
 	for i, d := range tm.Demands {
 		as.OfferedGbps += d.Gbps
-		n := 0
-		var ds *destState
-		if d.Src != d.Dst {
-			ds = r.destCur[d.Dst]
-			n = int(ds.count[d.Src])
-		}
+		blk, n, plen := r.route(d.Src, d.Dst)
 		if n == 0 {
 			ws.routes[i] = routed{}
 			as.Unreachable++
 			continue
 		}
-		plen := int(ds.plen[d.Src])
-		s := int(ds.start[d.Src])
-		blk := ds.arena[s : s+n*plen]
 		share := d.Gbps / float64(n)
 		ws.routes[i] = routed{block: blk, n: n, plen: plen, share: share}
 		for p := 0; p < len(blk); p += plen {
@@ -662,74 +403,6 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 				}
 			}
 			achieved += rt.share / worst
-		}
-		as.SatisfiedGbps += achieved
-		as.PerDemand[i] = achieved / d.Gbps
-	}
-	return as
-}
-
-// referenceEvaluateInto is the original per-pair evaluation: every demand
-// resolved through the paths enumerator. It is the executable specification
-// the destination-rooted engine is differentially tested against
-// (TestDestRootedMatchesPerPairEnumerator) and is not used on any hot path.
-func (r *Router) referenceEvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
-	nd, nl := len(tm.Demands), len(r.net.Links)
-	ws.perDemand = growFloats(ws.perDemand, nd)
-	ws.linkLoad = growFloats(ws.linkLoad, nl)
-	ws.over = growFloats(ws.over, nl)
-	if cap(ws.routes) < nd {
-		ws.routes = make([]routed, nd)
-	} else {
-		ws.routes = ws.routes[:nd]
-	}
-	as := Assessment{
-		PerDemand: ws.perDemand,
-		LinkLoad:  ws.linkLoad,
-	}
-	for i, d := range tm.Demands {
-		as.OfferedGbps += d.Gbps
-		paths := r.paths(d.Src, d.Dst)
-		if len(paths) == 0 {
-			ws.routes[i] = routed{}
-			as.Unreachable++
-			continue
-		}
-		share := d.Gbps / float64(len(paths))
-		ws.routes[i] = routed{paths: paths, share: share}
-		for _, p := range paths {
-			for _, l := range p {
-				as.LinkLoad[l.ID] += share
-			}
-		}
-	}
-	// Overload factors.
-	for id, load := range as.LinkLoad {
-		cap := r.net.Links[id].GbpsCap
-		if cap <= 0 {
-			continue
-		}
-		u := load / cap
-		if u > as.MaxUtil {
-			as.MaxUtil = u
-		}
-		if u > 1 {
-			ws.over[id] = u
-		}
-	}
-	for i, d := range tm.Demands {
-		if ws.routes[i].paths == nil {
-			continue
-		}
-		achieved := 0.0
-		for _, p := range ws.routes[i].paths {
-			worst := 1.0
-			for _, l := range p {
-				if ws.over[l.ID] > worst {
-					worst = ws.over[l.ID]
-				}
-			}
-			achieved += ws.routes[i].share / worst
 		}
 		as.SatisfiedGbps += achieved
 		as.PerDemand[i] = achieved / d.Gbps

@@ -57,27 +57,6 @@ func (n *Network) HopDistancesInto(src DeviceID, ok Usable, dist []int, queue []
 	return queue
 }
 
-// ShortestPathLinks visits every usable link that lies on some shortest path
-// toward the destination whose BFS field is dist — exactly the links whose
-// state change can alter dist or the ECMP DAG built over it. A usable link is
-// on a shortest path iff both endpoints are reachable and their distances
-// differ by one ("tight" w.r.t. dist). Routing records these as the reverse
-// dependency index for incremental cache invalidation.
-func (n *Network) ShortestPathLinks(dist []int, ok Usable, visit func(*Link)) {
-	for _, l := range n.Links {
-		if ok != nil && !ok(l) {
-			continue
-		}
-		da, db := dist[l.A.Device.ID], dist[l.B.Device.ID]
-		if da < 0 || db < 0 {
-			continue
-		}
-		if da-db == 1 || db-da == 1 {
-			visit(l)
-		}
-	}
-}
-
 // NextHopsTo returns, for every device, the set of usable links that lie on
 // a shortest path toward dst — the ECMP next-hop sets routing fans traffic
 // over. Devices that cannot reach dst get an empty set.
