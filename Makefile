@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt fmt-check bench bench-quick bench-diff cp-smoke experiments-quick artifacts-diff shard-diff replay-diff ci
+.PHONY: all build test race vet lint fmt fmt-check bench bench-quick bench-diff cp-smoke experiments-quick artifacts-diff shard-diff replay-diff fuzz-smoke ci
 
 all: build
 
@@ -114,6 +114,13 @@ replay-diff:
 	if "$$tmp/maintctl" diff "$$tmp/a.fr" "$$tmp/b.fr" > /dev/null; then \
 		echo "replay-diff: seeds 7 and 8 produced identical recordings?"; exit 1; \
 	fi && echo "replay-diff: record/replay/diff gate green"
+
+# Recording-decoder fuzz smoke: ten seconds of FuzzReader over NewReader,
+# Next and Replay, seeded from a real capture in
+# internal/flightrec/testdata/fuzz/FuzzReader. It fails on a panic or on
+# an allocation out of proportion to the input.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzReader -fuzztime=10s -parallel 2 ./internal/flightrec/
 
 ci:
 	./ci.sh

@@ -29,6 +29,9 @@ make shard-diff
 echo "== replay-diff (flight recorder: record == replay, diff finds divergence)"
 make replay-diff
 
+echo "== fuzz-smoke (recording decoder: no panic, allocation bounded by input)"
+make fuzz-smoke
+
 echo "== cp-smoke (1k stream watchers: bounded heap, byte-identical transcript)"
 make cp-smoke
 

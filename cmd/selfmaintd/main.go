@@ -49,6 +49,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/bus"
 	"repro/internal/controlplane"
 	"repro/internal/flightrec"
 	"repro/internal/sim"
@@ -175,7 +176,7 @@ func (r *eventRing) all() []eventRow {
 	rows := make([]eventRow, 0, len(evs))
 	for _, ev := range evs {
 		rows = append(rows, eventRow{At: ev.At.String(), Seq: ev.Seq,
-			Topic: string(ev.Topic), Payload: fmt.Sprint(ev.Payload)})
+			Topic: string(ev.Topic), Payload: bus.Render(ev.Payload)})
 	}
 	return rows
 }

@@ -46,7 +46,7 @@ type Event struct {
 
 // String renders the envelope for logs.
 func (e Event) String() string {
-	return fmt.Sprintf("[%v] #%d %s: %v", e.At, e.Seq, e.Topic, e.Payload)
+	return fmt.Sprintf("[%v] #%d %s: %s", e.At, e.Seq, e.Topic, Render(e.Payload))
 }
 
 // Handler consumes events.

@@ -33,8 +33,8 @@ const (
 // AlertKind classifies a Sense-stage alert.
 type AlertKind uint8
 
-// Alert kinds, mirroring the telemetry plane's taxonomy without importing
-// it (telemetry publishes onto the bus, so the bus stays below it).
+// Alert kinds: the telemetry plane's taxonomy. They live here because
+// telemetry publishes onto the bus, so the bus stays below it.
 const (
 	AlertLinkDown AlertKind = iota
 	AlertLinkFlapping
@@ -64,9 +64,15 @@ type Alert struct {
 	Detail string
 }
 
-// String renders the alert for logs.
-func (a Alert) String() string {
-	return fmt.Sprintf("%v %s %s", a.Kind, a.Link.Name(), a.Detail)
+// PayloadKind implements Recordable.
+func (Alert) PayloadKind() string { return "alert" }
+
+// WriteFields implements Recordable.
+func (a Alert) WriteFields(w FieldWriter) {
+	w.Str("kind", a.Kind.String())
+	w.Str("link", linkName(a.Link))
+	w.Int("at", int64(a.At))
+	w.Str("detail", a.Detail)
 }
 
 // RepairRequest is a Plan-stage event asking Triage to open background
@@ -79,13 +85,13 @@ type RepairRequest struct {
 	Predictive bool
 }
 
-// String renders the request for logs.
-func (r RepairRequest) String() string {
-	kind := "proactive"
-	if r.Predictive {
-		kind = "predictive"
-	}
-	return fmt.Sprintf("%s repair of %s", kind, r.Link.Name())
+// PayloadKind implements Recordable.
+func (RepairRequest) PayloadKind() string { return "request" }
+
+// WriteFields implements Recordable.
+func (r RepairRequest) WriteFields(w FieldWriter) {
+	w.Str("link", linkName(r.Link))
+	w.Bool("predictive", r.Predictive)
 }
 
 // TicketEventKind classifies a Triage-stage ticket lifecycle event.
@@ -128,9 +134,19 @@ type TicketEvent struct {
 	Reactive bool
 }
 
-// String renders the event for logs.
-func (e TicketEvent) String() string {
-	return fmt.Sprintf("T%d %s %s", e.ID, e.Link.Name(), e.Kind)
+// PayloadKind implements Recordable.
+func (TicketEvent) PayloadKind() string { return "ticket" }
+
+// WriteFields implements Recordable. The action is written on resolved
+// events only, the one kind it is meaningful on.
+func (e TicketEvent) WriteFields(w FieldWriter) {
+	w.Str("kind", e.Kind.String())
+	w.Int("id", int64(e.ID))
+	w.Str("link", linkName(e.Link))
+	if e.Kind == TicketResolved {
+		w.Str("action", e.Action.String())
+	}
+	w.Bool("reactive", e.Reactive)
 }
 
 // Dispatch is an Act-stage event: physical work is being launched.
@@ -143,13 +159,17 @@ type Dispatch struct {
 	End    faults.End
 }
 
-// String renders the dispatch for logs.
-func (d Dispatch) String() string {
-	lane := "human"
-	if d.Robot {
-		lane = "robot"
-	}
-	return fmt.Sprintf("T%d %s %s %v@%v by %s", d.Ticket, d.Link.Name(), lane, d.Action, d.End, d.Actor)
+// PayloadKind implements Recordable.
+func (Dispatch) PayloadKind() string { return "dispatch" }
+
+// WriteFields implements Recordable.
+func (d Dispatch) WriteFields(w FieldWriter) {
+	w.Int("ticket", int64(d.Ticket))
+	w.Str("link", linkName(d.Link))
+	w.Str("actor", d.Actor)
+	w.Bool("robot", d.Robot)
+	w.Str("action", d.Action.String())
+	w.Str("end", d.End.String())
 }
 
 // WorkOutcome is an Act-stage event: a physical attempt finished.
@@ -164,6 +184,21 @@ type WorkOutcome struct {
 	Completed bool
 	Fixed     bool
 	Note      string
+}
+
+// PayloadKind implements Recordable.
+func (WorkOutcome) PayloadKind() string { return "outcome" }
+
+// WriteFields implements Recordable.
+func (o WorkOutcome) WriteFields(w FieldWriter) {
+	w.Int("ticket", int64(o.Ticket))
+	w.Str("link", linkName(o.Link))
+	w.Str("actor", o.Actor)
+	w.Bool("robot", o.Robot)
+	w.Str("action", o.Action.String())
+	w.Bool("completed", o.Completed)
+	w.Bool("fixed", o.Fixed)
+	w.Str("note", o.Note)
 }
 
 // WatchdogFired is an Act-stage event: a dispatched attempt blew its
@@ -184,14 +219,19 @@ type WatchdogFired struct {
 	Backoff sim.Time
 }
 
-// String renders the watchdog event for logs.
-func (w WatchdogFired) String() string {
-	lane := "human"
-	if w.Robot {
-		lane = "robot"
-	}
-	return fmt.Sprintf("T%d %s %s %v by %s: watchdog after %v (attempt %d, backoff %v)",
-		w.Ticket, w.Link.Name(), lane, w.Action, w.Actor, w.Deadline, w.Attempt, w.Backoff)
+// PayloadKind implements Recordable.
+func (WatchdogFired) PayloadKind() string { return "watchdog" }
+
+// WriteFields implements Recordable.
+func (wd WatchdogFired) WriteFields(w FieldWriter) {
+	w.Int("ticket", int64(wd.Ticket))
+	w.Str("link", linkName(wd.Link))
+	w.Str("actor", wd.Actor)
+	w.Bool("robot", wd.Robot)
+	w.Str("action", wd.Action.String())
+	w.Int("deadline", int64(wd.Deadline))
+	w.Int("attempt", int64(wd.Attempt))
+	w.Int("backoff", int64(wd.Backoff))
 }
 
 // Degraded is an Act-stage event: repeated actuator failures exhausted the
@@ -205,20 +245,20 @@ type Degraded struct {
 	RobotFailures int
 }
 
-// String renders the degradation event for logs.
-func (d Degraded) String() string {
-	return fmt.Sprintf("T%d %s degraded to human after %d robot watchdog failure(s)",
-		d.Ticket, d.Link.Name(), d.RobotFailures)
+// PayloadKind implements Recordable.
+func (Degraded) PayloadKind() string { return "degraded" }
+
+// WriteFields implements Recordable.
+func (d Degraded) WriteFields(w FieldWriter) {
+	w.Int("ticket", int64(d.Ticket))
+	w.Str("link", linkName(d.Link))
+	w.Int("robot-failures", int64(d.RobotFailures))
 }
 
-// String renders the outcome for logs.
-func (o WorkOutcome) String() string {
-	verdict := "failed"
-	switch {
-	case o.Fixed:
-		verdict = "fixed"
-	case o.Completed:
-		verdict = "performed, not fixed"
+// linkName is a payload's link as written: its name, or "" for none.
+func linkName(l *topology.Link) string {
+	if l == nil {
+		return ""
 	}
-	return fmt.Sprintf("T%d %s %v by %s: %s", o.Ticket, o.Link.Name(), o.Action, o.Actor, verdict)
+	return l.Name()
 }

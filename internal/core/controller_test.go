@@ -633,7 +633,7 @@ func TestJournalRecordsDecisionTrail(t *testing.T) {
 	kinds := map[EventKind]bool{}
 	for _, e := range entries {
 		kinds[e.Kind] = true
-		if e.String() == "" {
+		if bus.Render(e) == "" {
 			t.Fatal("empty journal line")
 		}
 	}

@@ -66,19 +66,16 @@ type JournalEntry struct {
 	Detail string
 }
 
-// String renders a log line.
-func (e JournalEntry) String() string {
-	s := fmt.Sprintf("[%v] %s", e.At, e.Kind)
-	if e.Ticket >= 0 {
-		s += fmt.Sprintf(" T%d", e.Ticket)
-	}
-	if e.Link != "" {
-		s += " " + e.Link
-	}
-	if e.Detail != "" {
-		s += ": " + e.Detail
-	}
-	return s
+// PayloadKind implements bus.Recordable.
+func (JournalEntry) PayloadKind() string { return "journal" }
+
+// WriteFields implements bus.Recordable.
+func (e JournalEntry) WriteFields(w bus.FieldWriter) {
+	w.Int("at", int64(e.At))
+	w.Str("kind", e.Kind.String())
+	w.Int("ticket", int64(e.Ticket))
+	w.Str("link", e.Link)
+	w.Str("detail", e.Detail)
 }
 
 // journal is a bounded ring of recent controller decisions: the audit trail

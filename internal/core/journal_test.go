@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/sim"
 )
 
@@ -130,13 +131,14 @@ func TestJournalTailIsACopy(t *testing.T) {
 func TestJournalEntryString(t *testing.T) {
 	e := JournalEntry{At: 90 * sim.Second, Kind: EvDispatchRobot,
 		Ticket: 7, Link: "leaf0/p0<->spine0/p0", Detail: "reseat@A"}
-	want := "[00:01:30.000] dispatch-robot T7 leaf0/p0<->spine0/p0: reseat@A"
-	if e.String() != want {
-		t.Fatalf("String() = %q, want %q", e.String(), want)
+	want := "journal{at=90000000000 kind=dispatch-robot ticket=7 link=leaf0/p0<->spine0/p0 detail=reseat@A}"
+	if got := bus.Render(e); got != want {
+		t.Fatalf("Render = %q, want %q", got, want)
 	}
-	// Non-ticket-scoped entries omit the T and link fields.
-	e2 := JournalEntry{At: 0, Kind: EvProactiveCampaign, Ticket: -1}
-	if got := e2.String(); got != "[00:00:00.000] proactive-campaign" {
-		t.Fatalf("String() = %q", got)
+	// A non-ticket-scoped entry keeps its -1 ticket; empty fields are
+	// dropped and spaced text is quoted.
+	e2 := JournalEntry{At: 0, Kind: EvProactiveCampaign, Ticket: -1, Detail: "row 2"}
+	if got := bus.Render(e2); got != `journal{kind=proactive-campaign ticket=-1 detail="row 2"}` {
+		t.Fatalf("Render = %q", got)
 	}
 }

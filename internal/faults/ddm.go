@@ -23,7 +23,7 @@ const NominalRxDbm = -2.0
 // dying module) show up in the error indicator at the afflicted end.
 func (inj *Injector) ReadDDM(l *topology.Link, e End) DDM {
 	st := &inj.states[l.ID]
-	rng := inj.rng("ddm")
+	rng := inj.ddmRNG
 	d := DDM{RxDbm: NominalRxDbm + 1.5*rng.NormFloat64()}
 	if !inj.info[l.ID].needsXcvr {
 		return d

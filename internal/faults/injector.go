@@ -38,6 +38,10 @@ type Injector struct {
 
 	listeners []Listener
 	stats     Stats
+
+	// The injector's named RNG streams ("faults/<name>" on the engine),
+	// resolved once: each derives from the seed and its name only.
+	ddmRNG, onsetRNG, precursorRNG, manifestRNG, flapRNG, repairRNG, touchRNG *sim.Stream
 }
 
 // NewInjector creates the injector and schedules the initial fault onset
@@ -52,6 +56,14 @@ func NewInjector(eng *sim.Engine, net *topology.Network, cfg Config) *Injector {
 		onsetEvents: make([]map[Cause]sim.Handle, len(net.Links)),
 		flapEvents:  make([]sim.Handle, len(net.Links)),
 		recurEvents: make([]sim.Handle, len(net.Links)),
+
+		ddmRNG:       eng.RNG("faults/ddm"),
+		onsetRNG:     eng.RNG("faults/onset"),
+		precursorRNG: eng.RNG("faults/precursor"),
+		manifestRNG:  eng.RNG("faults/manifest"),
+		flapRNG:      eng.RNG("faults/flap"),
+		repairRNG:    eng.RNG("faults/repair"),
+		touchRNG:     eng.RNG("faults/touch"),
 	}
 	inj.stats.Onsets = make(map[Cause]int)
 	for i, l := range net.Links {
@@ -107,7 +119,7 @@ func (inj *Injector) scheduleOnset(l *topology.Link, c Cause) {
 	}
 	meanYears := 1 / rate
 	scale := meanYears / math.Gamma(1+1/shape)
-	years := inj.rng("onset").Weibull(shape, scale)
+	years := inj.onsetRNG.Weibull(shape, scale)
 	// Cap lifetimes far beyond any experiment horizon; uncapped draws from
 	// heavy-tailed lifetime distributions can overflow virtual time.
 	const maxYears = 200
@@ -133,7 +145,7 @@ func (inj *Injector) schedulePrecursor(l *topology.Link, c Cause, onsetEv sim.Ha
 	if inj.cfg.PrecursorIncubation == nil || inj.cfg.PrecursorGapH <= 0 {
 		return
 	}
-	days := inj.cfg.PrecursorIncubation.Sample(inj.rng("precursor"))
+	days := inj.cfg.PrecursorIncubation.Sample(inj.precursorRNG)
 	incub := sim.Time(days * float64(sim.Day))
 	if max := onsetAt - inj.eng.Now(); incub > max/2 {
 		incub = max / 2
@@ -156,7 +168,7 @@ func (inj *Injector) schedulePrecursor(l *topology.Link, c Cause, onsetEv sim.Ha
 				ls.LinkFlapped(l, sim.Second, inj.cfg.PrecursorLoss, inj.eng.Now())
 			}
 		}
-		gap := sim.Time(inj.rng("precursor").Exponential(inj.cfg.PrecursorGapH) * float64(sim.Hour))
+		gap := sim.Time(inj.precursorRNG.Exponential(inj.cfg.PrecursorGapH) * float64(sim.Hour))
 		if gap < 10*sim.Minute {
 			gap = 10 * sim.Minute
 		}
@@ -183,7 +195,7 @@ func (inj *Injector) onset(l *topology.Link, c Cause) {
 // beginFault makes cause c manifest on l now.
 func (inj *Injector) beginFault(l *topology.Link, c Cause) {
 	st := &inj.states[l.ID]
-	rng := inj.rng("manifest")
+	rng := inj.manifestRNG
 	st.Cause = c
 	st.Masked = false
 	if rng.Bernoulli(0.5) {
@@ -219,7 +231,7 @@ func (inj *Injector) envFactor(at sim.Time) float64 {
 
 func (inj *Injector) scheduleFlap(l *topology.Link) {
 	st := &inj.states[l.ID]
-	rng := inj.rng("flap")
+	rng := inj.flapRNG
 	interval := inj.cfg.FlapInterval.Sample(rng)
 	// Dirtier end-faces flap more often.
 	severity := 0.5
@@ -295,6 +307,3 @@ func (inj *Injector) setInRepair(l *topology.Link, v bool) {
 		inj.scheduleFlap(l)
 	}
 }
-
-// rng returns a named injector stream.
-func (inj *Injector) rng(name string) *sim.Stream { return inj.eng.RNG("faults/" + name) }

@@ -43,7 +43,7 @@ func (inj *Injector) FinishRepair(l *topology.Link, action Action, end End) Repa
 
 	case action == Reseat && st.Cause == Contamination:
 		// The paper's repeat-ticket mechanism: a reseat can mask dirt.
-		if endLocalMatches(st, action, end) && inj.rng("repair").Bernoulli(inj.cfg.ReseatMaskProb) {
+		if endLocalMatches(st, action, end) && inj.repairRNG.Bernoulli(inj.cfg.ReseatMaskProb) {
 			res.Fixed = true
 			res.Masked = true
 			res.Cleared = Contamination
@@ -59,7 +59,7 @@ func (inj *Injector) FinishRepair(l *topology.Link, action Action, end End) Repa
 			p = 0
 			res.Note = "wrong end"
 		}
-		if p > 0 && inj.rng("repair").Bernoulli(p) {
+		if p > 0 && inj.repairRNG.Bernoulli(p) {
 			res.Fixed = true
 			res.Cleared = st.Cause
 			inj.clearCause(l, action, end)
@@ -124,7 +124,7 @@ func (inj *Injector) clearCause(l *topology.Link, action Action, end End) {
 // cleanEnd zeroes dirt at the chosen end, with a small chance of leaving
 // residue (imperfect cleaning / recontamination at reassembly).
 func (inj *Injector) cleanEnd(st *LinkState, end End) {
-	if inj.rng("repair").Bernoulli(inj.cfg.CleanRecontaminate) {
+	if inj.repairRNG.Bernoulli(inj.cfg.CleanRecontaminate) {
 		st.Ends[end].Dirt = 0.2
 	} else {
 		st.Ends[end].Dirt = 0
@@ -163,7 +163,7 @@ func (inj *Injector) refreshClocks(l *topology.Link, action Action, end End) {
 // scheduleMaskedRecurrence queues the reappearance of a masked
 // contamination fault.
 func (inj *Injector) scheduleMaskedRecurrence(l *topology.Link) {
-	hours := inj.cfg.MaskedRecurrence.Sample(inj.rng("repair"))
+	hours := inj.cfg.MaskedRecurrence.Sample(inj.repairRNG)
 	at := inj.eng.Now() + sim.Time(hours*float64(sim.Hour))
 	inj.recurEvents[l.ID] = inj.eng.Schedule(at, "masked-recurrence", func() {
 		inj.recurEvents[l.ID] = sim.Handle{}
@@ -173,7 +173,7 @@ func (inj *Injector) scheduleMaskedRecurrence(l *topology.Link) {
 		}
 		st.Masked = false
 		inj.stats.MaskedRecurrences++
-		if inj.rng("manifest").Bernoulli(inj.cfg.DownManifest[Contamination]) {
+		if inj.manifestRNG.Bernoulli(inj.cfg.DownManifest[Contamination]) {
 			inj.setHealth(l, Down)
 		} else {
 			inj.setHealth(l, Flapping)
@@ -190,7 +190,7 @@ func (inj *Injector) applyPhysicalSideEffects(l *topology.Link, action Action, e
 		return
 	}
 	st := &inj.states[l.ID]
-	if st.Ends[end].Dirt == 0 && inj.rng("repair").Bernoulli(0.02) {
+	if st.Ends[end].Dirt == 0 && inj.repairRNG.Bernoulli(0.02) {
 		st.Ends[end].Dirt = 0.3
 	}
 }

@@ -77,7 +77,7 @@ func (inj *Injector) disturb(l *topology.Link, pTransient, pPermanent float64) [
 	if l == nil {
 		return nil
 	}
-	rng := inj.rng("touch")
+	rng := inj.touchRNG
 	st := &inj.states[l.ID]
 	var effects []CascadeEffect
 

@@ -38,6 +38,21 @@ type Summary struct {
 	RobotsTotal int
 }
 
+// PayloadKind implements bus.Recordable.
+func (Summary) PayloadKind() string { return "fleet-summary" }
+
+// WriteFields implements bus.Recordable.
+func (s Summary) WriteFields(w bus.FieldWriter) {
+	w.Int("region", int64(s.Region))
+	w.Int("at", int64(s.At))
+	w.Int("links", int64(s.Links))
+	w.Int("links-down", int64(s.LinksDown))
+	w.Int("open-tickets", int64(s.OpenTickets))
+	w.Int("resolved", int64(s.Resolved))
+	w.Int("robots-idle", int64(s.RobotsIdle))
+	w.Int("robots-total", int64(s.RobotsTotal))
+}
+
 // DownFrac is the fraction of the region's links currently unhealthy.
 func (s Summary) DownFrac() float64 {
 	if s.Links == 0 {
@@ -68,6 +83,16 @@ type Ticket struct {
 	Region   int
 	OpenedAt sim.Time
 	ClosedAt sim.Time // zero while open
+}
+
+// PayloadKind implements bus.Recordable.
+func (Ticket) PayloadKind() string { return "fleet-ticket" }
+
+// WriteFields implements bus.Recordable.
+func (t Ticket) WriteFields(w bus.FieldWriter) {
+	w.Int("region", int64(t.Region))
+	w.Int("opened-at", int64(t.OpenedAt))
+	w.Int("closed-at", int64(t.ClosedAt))
 }
 
 // Stats counts fleet-level coordination activity.
@@ -182,6 +207,17 @@ type TransferNote struct {
 	From, To int
 	Granted  bool
 	Unit     string
+}
+
+// PayloadKind implements bus.Recordable.
+func (TransferNote) PayloadKind() string { return "transfer" }
+
+// WriteFields implements bus.Recordable.
+func (n TransferNote) WriteFields(w bus.FieldWriter) {
+	w.Int("from", int64(n.From))
+	w.Int("to", int64(n.To))
+	w.Bool("granted", n.Granted)
+	w.Str("unit", n.Unit)
 }
 
 // Build wires a fleet: the multi-engine, the hub's overlay + bus, every

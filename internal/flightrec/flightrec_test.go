@@ -35,50 +35,44 @@ var strPool = []string{"", "leaf0:1<->spine0:3", "unit-3", "tech-1", "flap burst
 
 func (g *genState) str() string { return strPool[g.rng.IntN(len(strPool))] }
 
+// Payload kinds, field names and string values the generator draws from:
+// real kinds and ticket lifecycle names, so the summary's by-name reads
+// run, plus kinds and names no payload type writes.
+var (
+	kindPool  = []string{"alert", "ticket", "dispatch", "outcome", "journal", "generic", "frobnicate"}
+	namePool  = []string{"kind", "id", "link", "reactive", "robot", "fixed", "at", "detail", "future-field"}
+	valuePool = []string{"opened", "resolved", "cancelled", "deduped"}
+)
+
+// payload draws a random kind and field set. Values are never zero:
+// writers drop zero values, so a capture of this payload is the payload.
 func (g *genState) payload() Payload {
-	switch g.rng.IntN(12) {
-	case 0:
-		return &PAlert{Kind: uint8(g.rng.IntN(4)), Link: g.str(), At: sim.Time(g.rng.Int64N(1 << 40)), Detail: g.str()}
-	case 1:
-		return &PRequest{Link: g.str(), Predictive: g.rng.IntN(2) == 0}
-	case 2:
-		return &PTicket{Kind: uint8(g.rng.IntN(5)), ID: g.rng.IntN(100), Link: g.str(),
-			Action: uint8(g.rng.IntN(6)), Reactive: g.rng.IntN(2) == 0}
-	case 3:
-		return &PDispatch{Ticket: g.rng.IntN(100), Link: g.str(), Actor: g.str(),
-			Robot: g.rng.IntN(2) == 0, Action: uint8(g.rng.IntN(6)), End: uint8(g.rng.IntN(2))}
-	case 4:
-		return &POutcome{Ticket: g.rng.IntN(100), Link: g.str(), Actor: g.str(),
-			Robot: g.rng.IntN(2) == 0, Action: uint8(g.rng.IntN(6)),
-			Completed: g.rng.IntN(2) == 0, Fixed: g.rng.IntN(2) == 0, Note: g.str()}
-	case 5:
-		return &PWatchdog{Ticket: g.rng.IntN(100), Link: g.str(), Actor: g.str(),
-			Robot: g.rng.IntN(2) == 0, Action: uint8(g.rng.IntN(6)),
-			Deadline: sim.Time(g.rng.Int64N(1 << 40)), Attempt: g.rng.IntN(5),
-			Backoff: sim.Time(g.rng.Int64N(1 << 40))}
-	case 6:
-		return &PDegraded{Ticket: g.rng.IntN(100), Link: g.str(), RobotFailures: g.rng.IntN(5)}
-	case 7:
-		return &PJournal{At: sim.Time(g.rng.Int64N(1 << 40)), Kind: uint8(g.rng.IntN(16)),
-			Ticket: g.rng.IntN(12) - 1, Link: g.str(), Detail: g.str()}
-	case 8:
-		return &PFleetSummary{Region: g.rng.IntN(8), At: sim.Time(g.rng.Int64N(1 << 40)),
-			Links: g.rng.IntN(1000), LinksDown: g.rng.IntN(10), OpenTickets: g.rng.IntN(20),
-			Resolved: g.rng.IntN(500), RobotsIdle: g.rng.IntN(8), RobotsTotal: g.rng.IntN(16)}
-	case 9:
-		return &PFleetTicket{Region: g.rng.IntN(8), OpenedAt: sim.Time(g.rng.Int64N(1 << 40)),
-			ClosedAt: sim.Time(g.rng.Int64N(2) * g.rng.Int64N(1<<40))}
-	case 10:
-		return &PTransfer{From: g.rng.IntN(8), To: g.rng.IntN(8),
-			Granted: g.rng.IntN(2) == 0, Unit: g.str()}
-	default:
-		return &PGeneric{TypeName: "test.Blob", Text: g.str()}
+	p := Payload{Kind: kindPool[g.rng.IntN(len(kindPool))]}
+	for n := g.rng.IntN(7); n > 0; n-- {
+		f := Field{Name: namePool[g.rng.IntN(len(namePool))], Type: FieldType(g.rng.IntN(4))}
+		switch f.Type {
+		case FieldUint:
+			f.Num = 1 + g.rng.Uint64N(1<<40)
+		case FieldInt:
+			f.Num = uint64(g.rng.Int64N(1<<41) - 1<<40)
+			if f.Num == 0 {
+				f.Num = 1
+			}
+		case FieldStr:
+			if f.Str = g.str(); f.Str == "" {
+				f.Str = valuePool[g.rng.IntN(len(valuePool))]
+			}
+		case FieldBool:
+			f.Num = 1
+		}
+		p.Fields = append(p.Fields, f)
 	}
+	return p
 }
 
 func (g *genState) kvs() []KV {
 	n := g.rng.IntN(6)
-	kvs := make([]KV, 0, n)
+	var kvs []KV // nil when empty, as decoded
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i)
 		switch g.rng.IntN(3) {
@@ -141,7 +135,7 @@ func (g *genState) step() {
 			Topic:   []string{"sense.alert", "triage.ticket", "act.dispatch", "journal.decision"}[g.rng.IntN(4)],
 			Payload: g.payload()}
 		g.add(f)
-		g.rec.add(f)
+		g.rec.Tap(shard, bus.Event{Seq: f.Seq, At: f.At, Topic: bus.Topic(f.Topic), Payload: f.Payload})
 	}
 }
 
@@ -260,19 +254,25 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 // TestTapConvertsBusPayloads drives the recorder through the real bus-tap
-// surface with live payload types and checks the typed conversion.
+// surface with live payload types: each decodes to its capture, renders
+// as the live payload does, and reads back by field name.
 func TestTapConvertsBusPayloads(t *testing.T) {
 	var buf bytes.Buffer
 	rec, err := New(&buf, map[string]string{"seed": "7"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Tap(0, bus.Event{Seq: 3, At: 10 * sim.Minute, Topic: bus.TopicAlert,
-		Payload: bus.Alert{Kind: bus.AlertLinkDown, At: 10 * sim.Minute, Detail: "x"}})
-	rec.Tap(0, bus.Event{Seq: 4, At: 11 * sim.Minute, Topic: bus.TopicTicket,
-		Payload: bus.TicketEvent{Kind: bus.TicketOpened, ID: 0, Reactive: true}})
-	rec.Tap(0, bus.Event{Seq: 9, At: 12 * sim.Minute, Topic: bus.Topic("custom.topic"),
-		Payload: struct{ X int }{42}})
+	live := []bus.Event{
+		{Seq: 3, At: 10 * sim.Minute, Topic: bus.TopicAlert,
+			Payload: bus.Alert{Kind: bus.AlertLinkDown, At: 10 * sim.Minute, Detail: "x y"}},
+		{Seq: 4, At: 11 * sim.Minute, Topic: bus.TopicTicket,
+			Payload: bus.TicketEvent{Kind: bus.TicketOpened, ID: 0, Reactive: true}},
+		{Seq: 9, At: 12 * sim.Minute, Topic: bus.Topic("custom.topic"),
+			Payload: struct{ X int }{42}},
+	}
+	for _, ev := range live {
+		rec.Tap(0, ev)
+	}
 	if _, err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,117 +281,92 @@ func TestTapConvertsBusPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
+	var got []Payload
+	for _, ev := range live {
+		f, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Seq != ev.Seq || f.At != ev.At || f.Topic != string(ev.Topic) {
+			t.Fatalf("envelope decoded as seq=%d at=%v topic=%s", f.Seq, f.At, f.Topic)
+		}
+		if want := Capture(ev.Payload); !reflect.DeepEqual(f.Payload, want) {
+			t.Fatalf("decoded %#v, captured %#v", f.Payload, want)
+		}
+		got = append(got, f.Payload)
 	}
-	al, ok := f1.Payload.(*PAlert)
-	if !ok || al.Kind != uint8(bus.AlertLinkDown) || al.Detail != "x" || al.Link != "" {
-		t.Fatalf("alert decoded as %#v", f1.Payload)
+	if s, want := got[0].String(), bus.Render(live[0].Payload); s != want || s != `alert{kind=link-down at=600000000000 detail="x y"}` {
+		t.Fatalf("alert renders %q, live %q", s, want)
 	}
-	f2, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
+	if al := got[0]; al.Str("kind") != "link-down" || al.Str("detail") != "x y" || al.Str("link") != "" {
+		t.Fatalf("alert fields %#v", al)
 	}
-	tk, ok := f2.Payload.(*PTicket)
-	if !ok || !tk.Reactive || tk.ID != 0 {
-		t.Fatalf("ticket decoded as %#v", f2.Payload)
+	if tk := got[1]; tk.Kind != "ticket" || !tk.Bool("reactive") || tk.Int("id") != 0 {
+		t.Fatalf("ticket decoded as %#v", tk)
 	}
-	f3, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, ok := f3.Payload.(*PGeneric)
-	if !ok || gen.TypeName != "struct { X int }" || gen.Text != "{42}" {
-		t.Fatalf("generic decoded as %#v", f3.Payload)
-	}
-	if f3.Seq != 9 || f3.At != 12*sim.Minute {
-		t.Fatalf("envelope decoded as seq=%d at=%v", f3.Seq, f3.At)
+	if gen := got[2]; gen.Kind != "generic" || gen.Str("type") != "struct { X int }" || gen.Str("text") != "{42}" {
+		t.Fatalf("generic decoded as %#v", gen)
 	}
 }
 
-// futurePayload simulates a payload type from a newer writer: an unknown
-// kind name with tags this reader has never seen.
-type futurePayload struct{}
-
-func (futurePayload) PayloadKind() string { return "frobnicate" }
-func (futurePayload) String() string      { return "frobnicate{}" }
-func (futurePayload) encodeFields(e *enc) {
-	e.tagU(1, 7)
-	e.tagS(2, "zap")
-	e.tagF(9, 2.5)
-	e.tagI(12, -4)
-}
-
-// alertWithExtraTags simulates a known kind grown new fields by a newer
-// writer: tags 1/2/4 are today's alert schema, 9/10 are from the future.
-type alertWithExtraTags struct{}
-
-func (alertWithExtraTags) PayloadKind() string { return "alert" }
-func (alertWithExtraTags) String() string      { return "alert+{}" }
-func (alertWithExtraTags) encodeFields(e *enc) {
-	e.tagU(1, 2)
-	e.tagS(2, "linkname")
-	e.tagS(9, "future-field")
-	e.tagU(10, 123)
-	e.tagS(4, "detail")
-}
-
-// TestSchemaEvolution checks the two growth paths the format promises:
-// unknown payload kinds decode generically, and unknown tags on known
-// kinds are skipped without desync (including their interned strings).
+// TestSchemaEvolution checks the growth paths the format promises: a kind
+// no payload type writes today and a known kind grown new fields both
+// decode like any other, and the intern table stays in sync across the
+// names and values they introduce.
 func TestSchemaEvolution(t *testing.T) {
 	var buf bytes.Buffer
 	rec, err := New(&buf, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.add(Frame{Kind: KindEvent, At: sim.Hour, Seq: 1, Topic: "t", Payload: futurePayload{}})
-	rec.add(Frame{Kind: KindEvent, At: 2 * sim.Hour, Seq: 2, Topic: "t", Payload: alertWithExtraTags{}})
-	// A third frame reusing the interned "future-field" string proves the
-	// table stayed in sync across the skipped tag.
-	rec.add(Frame{Kind: KindEvent, At: 3 * sim.Hour, Seq: 3, Topic: "t",
-		Payload: &PGeneric{TypeName: "future-field", Text: "zap"}})
-	if _, err := rec.Close(); err != nil {
+	delta := int64(-4)
+	future := Payload{Kind: "frobnicate", Fields: []Field{
+		{Name: "count", Type: FieldUint, Num: 7},
+		{Name: "tag", Type: FieldStr, Str: "zap"},
+		{Name: "delta", Type: FieldInt, Num: uint64(delta)},
+		{Name: "armed", Type: FieldBool, Num: 1},
+	}}
+	grown := Payload{Kind: "alert", Fields: []Field{
+		{Name: "kind", Type: FieldStr, Str: "link-recovered"},
+		{Name: "link", Type: FieldStr, Str: "linkname"},
+		{Name: "future-field", Type: FieldStr, Str: "future-value"},
+		{Name: "detail", Type: FieldStr, Str: "detail"},
+	}}
+	// The third frame reuses interned names and values from the first two.
+	reuse := Payload{Kind: "frobnicate", Fields: []Field{
+		{Name: "future-field", Type: FieldStr, Str: "zap"},
+		{Name: "tag", Type: FieldStr, Str: "future-value"},
+	}}
+	for i, p := range []Payload{future, grown, reuse} {
+		rec.Tap(0, bus.Event{Seq: uint64(i), At: sim.Time(i) * sim.Hour, Topic: "t", Payload: p})
+	}
+	live, err := rec.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 
+	res, err := Replay(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Match() || !strings.Contains(live.Render(), "work alerts=1 ") || !strings.Contains(live.Render(), "generic=2") {
+		t.Fatalf("replay match %v; summary:\n%s", res.Match(), live.Render())
+	}
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []Payload{future, grown, reuse} {
+		f, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(f.Payload, want) {
+			t.Fatalf("decoded %#v, want %#v", f.Payload, want)
+		}
 	}
-	unk, ok := f1.Payload.(*PUnknown)
-	if !ok {
-		t.Fatalf("future kind decoded as %#v", f1.Payload)
-	}
-	if unk.Name != "frobnicate" || len(unk.Fields) != 4 {
-		t.Fatalf("unknown payload %#v", unk)
-	}
-	if s := unk.String(); !strings.Contains(s, "frobnicate{") || !strings.Contains(s, `2="zap"`) {
-		t.Fatalf("unknown render %q", s)
-	}
-	f2, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	al, ok := f2.Payload.(*PAlert)
-	if !ok {
-		t.Fatalf("grown alert decoded as %#v", f2.Payload)
-	}
-	if al.Kind != 2 || al.Link != "linkname" || al.Detail != "detail" {
-		t.Fatalf("grown alert fields %#v", al)
-	}
-	f3, err := rd.Next()
-	if err != nil {
-		t.Fatalf("frame after skipped tags: %v", err)
-	}
-	gen, ok := f3.Payload.(*PGeneric)
-	if !ok || gen.TypeName != "future-field" || gen.Text != "zap" {
-		t.Fatalf("intern table desynced: %#v", f3.Payload)
+	if s := future.String(); s != "frobnicate{count=7 tag=zap delta=-4 armed}" {
+		t.Fatalf("future kind renders %q", s)
 	}
 }
 
@@ -447,11 +422,26 @@ func corruptRecording(body ...byte) []byte {
 	return buf.Bytes()
 }
 
+// header is a recording's magic and version followed by the given bytes.
+func header(rest ...byte) []byte {
+	return append(append(magic[:len(magic):len(magic)], version), rest...)
+}
+
 // Corrupt counts in a recording must surface as errors: never a panic,
 // and never an allocation sized by the claim rather than by the input.
 func TestReaderRejectsCorruptCounts(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<63)
+	declared := binary.AppendUvarint(nil, 15<<20) // 15 MiB, under maxFrameLen
 	cases := map[string][]byte{
+		// A metadata block claiming 16M entries in a 9-byte file.
+		"metadata count 1<<24": header(binary.AppendUvarint(nil, 1<<24)...),
+		// One metadata key declared 15 MiB long, with no bytes behind it.
+		"metadata string 15 MiB": header(append([]byte{1}, declared...)...),
+		// A frame declared 15 MiB long, with no bytes behind it.
+		"frame body 15 MiB": header(append([]byte{0}, declared...)...),
+		// An event payload claiming more fields than its body has bytes.
+		"event field count beyond body": corruptRecording(append([]byte{byte(KindEvent), 0, 0, 1, 't', 0, 0, 0, 1, 'k'},
+			binary.AppendUvarint(nil, 1<<40)...)...),
 		// Shard 1<<63 converted to int is negative and would index the
 		// per-shard tables out of range.
 		"event shard 1<<63":    corruptRecording(append([]byte{byte(KindEvent)}, huge...)...),
@@ -464,21 +454,24 @@ func TestReaderRejectsCorruptCounts(t *testing.T) {
 		"state count beyond body": corruptRecording(append([]byte{byte(KindState), 0},
 			binary.AppendUvarint(nil, maxFrameLen)...)...),
 	}
-	if got := len(cases["event shard 1<<63"]); got != 18 {
-		t.Fatalf("event-shard recording is %d bytes, want 18", got)
+	for name, want := range map[string]int{"event shard 1<<63": 18, "metadata count 1<<24": 9,
+		"metadata string 15 MiB": 10, "frame body 15 MiB": 10} {
+		if got := len(cases[name]); got != want {
+			t.Fatalf("%s recording is %d bytes, want %d", name, got, want)
+		}
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			rd, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
+			var f Frame
+			if err == nil {
+				f, err = rd.Next()
 			}
-			f, err := rd.Next()
 			runtime.ReadMemStats(&after)
 			if err == nil || err == io.EOF {
-				t.Fatalf("corrupt frame decoded as %#v, err %v", f, err)
+				t.Fatalf("corrupt recording decoded as %#v, err %v", f, err)
 			}
 			// The reader's fixed 64 KiB buffer plus small change; the
 			// claimed counts would have cost megabytes to gigabytes.
@@ -519,14 +512,14 @@ func TestDiffFindsFirstDivergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec.add(Frame{Kind: KindEvent, At: sim.Minute, Seq: 1, Topic: "t",
-			Payload: &PAlert{Kind: 1, Link: "l0"}})
+		rec.Tap(0, bus.Event{At: sim.Minute, Seq: 1, Topic: "t",
+			Payload: bus.Alert{Kind: bus.AlertLinkFlapping}})
 		rec.Barrier(1, sim.Hour)
-		rec.add(Frame{Kind: KindEvent, At: 2 * sim.Hour, Seq: 2, Topic: "t",
-			Payload: &PAlert{Kind: 1, Link: "l0", Detail: detail}})
+		rec.Tap(0, bus.Event{At: 2 * sim.Hour, Seq: 2, Topic: "t",
+			Payload: bus.Alert{Kind: bus.AlertLinkFlapping, Detail: detail}})
 		if extra {
-			rec.add(Frame{Kind: KindEvent, At: 3 * sim.Hour, Seq: 3, Topic: "t",
-				Payload: &PAlert{Kind: 2, Link: "l1"}})
+			rec.Tap(0, bus.Event{At: 3 * sim.Hour, Seq: 3, Topic: "t",
+				Payload: bus.Alert{Kind: bus.AlertLinkRecovered}})
 		}
 		if _, err := rec.Close(); err != nil {
 			t.Fatal(err)
@@ -577,16 +570,16 @@ func TestDiffFindsFirstDivergence(t *testing.T) {
 // replay consumers (R7 reconstruction) rely on.
 func TestSummaryTicketLifecycle(t *testing.T) {
 	s := newSummary(nil)
-	ev := func(at sim.Time, p Payload) {
-		s.Add(Frame{Kind: KindEvent, At: at, Topic: "triage.ticket", Payload: p})
+	ev := func(at sim.Time, p bus.TicketEvent) {
+		s.Add(Frame{Kind: KindEvent, At: at, Topic: "triage.ticket", Payload: Capture(p)})
 	}
-	ev(0, &PTicket{Kind: uint8(bus.TicketOpened), ID: 0, Reactive: true})
-	ev(sim.Hour, &PTicket{Kind: uint8(bus.TicketOpened), ID: 1, Reactive: false})
-	ev(2*sim.Hour, &PTicket{Kind: uint8(bus.TicketOpened), ID: 2, Reactive: true})
-	ev(3*sim.Hour, &PTicket{Kind: uint8(bus.TicketResolved), ID: 0, Reactive: true})
+	ev(0, bus.TicketEvent{Kind: bus.TicketOpened, ID: 0, Reactive: true})
+	ev(sim.Hour, bus.TicketEvent{Kind: bus.TicketOpened, ID: 1, Reactive: false})
+	ev(2*sim.Hour, bus.TicketEvent{Kind: bus.TicketOpened, ID: 2, Reactive: true})
+	ev(3*sim.Hour, bus.TicketEvent{Kind: bus.TicketResolved, ID: 0, Reactive: true})
 	// Cancelled events carry no Reactive flag; the open map remembers.
-	ev(4*sim.Hour, &PTicket{Kind: uint8(bus.TicketCancelled), ID: 2})
-	ev(5*sim.Hour, &PTicket{Kind: uint8(bus.TicketOpened), ID: 3, Reactive: true})
+	ev(4*sim.Hour, bus.TicketEvent{Kind: bus.TicketCancelled, ID: 2})
+	ev(5*sim.Hour, bus.TicketEvent{Kind: bus.TicketOpened, ID: 3, Reactive: true})
 
 	if got := s.ReactiveWindows(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("windows %v, want [3]", got)

@@ -136,7 +136,7 @@ type Frame struct {
 func (f Frame) String() string {
 	switch f.Kind {
 	case KindEvent:
-		return fmt.Sprintf("ev shard=%d @%d #%d %s %v", f.Shard, int64(f.At), f.Seq, f.Topic, f.Payload)
+		return fmt.Sprintf("ev shard=%d @%d #%d %s %s", f.Shard, int64(f.At), f.Seq, f.Topic, f.Payload)
 	case KindSnapshot:
 		return fmt.Sprintf("snap shard=%d @%d avail=%s down=%d open=%d fired=%d",
 			f.Shard, int64(f.At), fmtFloat(f.Snap.Avail), f.Snap.LinksDown, f.Snap.OpenTix, f.Snap.Fired)

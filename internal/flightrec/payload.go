@@ -2,527 +2,131 @@ package flightrec
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/bus"
-	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
-// Payload is a decoded event payload. Concrete types mirror the live bus
-// payload structs field-for-field but hold only plain values (link names,
-// not *topology.Link), so a recording is self-contained: replay needs no
-// topology, no world, no simulation.
-//
-// Payload kinds are append-only and identified on the wire by interned
-// name strings; a reader that does not recognize a kind decodes the fields
-// generically (PUnknown) and keeps going.
-type Payload interface {
-	// PayloadKind is the stable wire name of this payload type.
-	PayloadKind() string
-	encodeFields(e *enc)
-	String() string
+// Payload is an event payload as a recording holds it: its kind and its
+// fields in written order, each keyed by name. The recorder captures live
+// payloads into this form through their bus.Recordable description, and
+// the reader decodes every kind into it, so flightrec knows no payload
+// kind and a capture equals its decode field for field. A recording is
+// self-contained: replay needs no topology, no world, no simulation.
+type Payload struct {
+	Kind   string
+	Fields []Field
 }
 
-// payloadDecoders maps wire names to field decoders. Lookup only — never
-// iterated — so map order cannot reach output.
-var payloadDecoders = map[string]func(fieldSet) Payload{
-	"alert":         decodeAlert,
-	"request":       decodeRequest,
-	"ticket":        decodeTicket,
-	"dispatch":      decodeDispatch,
-	"outcome":       decodeOutcome,
-	"watchdog":      decodeWatchdog,
-	"degraded":      decodeDegraded,
-	"journal":       decodeJournal,
-	"fleet-summary": decodeFleetSummary,
-	"fleet-ticket":  decodeFleetTicket,
-	"transfer":      decodeTransfer,
-	"generic":       decodeGeneric,
+// FieldType is a payload field's value type; it is also its wire type.
+type FieldType uint8
+
+// Field types. A bool field is only ever true: writers drop false.
+const (
+	FieldUint FieldType = iota
+	FieldInt
+	FieldStr
+	FieldBool
+)
+
+// Field is one named payload field. Num holds a FieldUint value, a
+// FieldInt value's two's-complement bits, or 1 for FieldBool; Str holds a
+// FieldStr value.
+type Field struct {
+	Name string
+	Type FieldType
+	Num  uint64
+	Str  string
 }
 
-func decodePayload(name string, fs fieldSet) Payload {
-	if fn, ok := payloadDecoders[name]; ok {
-		return fn(fs)
-	}
-	return &PUnknown{Name: name, Fields: fs}
-}
-
-// convertPayload maps live bus payloads to recordable ones. Fleet-level
-// payload types are translated by a converter the caller installs with
-// WithConverter: flightrec sits below internal/fleet in the import order,
-// so it cannot name those types itself (it still owns their wire form).
-func convertPayload(p any) (Payload, bool) {
-	switch v := p.(type) {
-	case bus.Alert:
-		return &PAlert{Kind: uint8(v.Kind), Link: linkName(v.Link), At: v.At, Detail: v.Detail}, true
-	case bus.RepairRequest:
-		return &PRequest{Link: linkName(v.Link), Predictive: v.Predictive}, true
-	case bus.TicketEvent:
-		return &PTicket{Kind: uint8(v.Kind), ID: v.ID, Link: linkName(v.Link),
-			Action: uint8(v.Action), Reactive: v.Reactive}, true
-	case bus.Dispatch:
-		return &PDispatch{Ticket: v.Ticket, Link: linkName(v.Link), Actor: v.Actor,
-			Robot: v.Robot, Action: uint8(v.Action), End: uint8(v.End)}, true
-	case bus.WorkOutcome:
-		return &POutcome{Ticket: v.Ticket, Link: linkName(v.Link), Actor: v.Actor,
-			Robot: v.Robot, Action: uint8(v.Action),
-			Completed: v.Completed, Fixed: v.Fixed, Note: v.Note}, true
-	case bus.WatchdogFired:
-		return &PWatchdog{Ticket: v.Ticket, Link: linkName(v.Link), Actor: v.Actor,
-			Robot: v.Robot, Action: uint8(v.Action),
-			Deadline: v.Deadline, Attempt: v.Attempt, Backoff: v.Backoff}, true
-	case bus.Degraded:
-		return &PDegraded{Ticket: v.Ticket, Link: linkName(v.Link), RobotFailures: v.RobotFailures}, true
-	case core.JournalEntry:
-		return &PJournal{At: v.At, Kind: uint8(v.Kind), Ticket: v.Ticket, Link: v.Link, Detail: v.Detail}, true
-	}
-	return nil, false
-}
-
-func linkName(l *topology.Link) string {
-	if l == nil {
-		return ""
-	}
-	return l.Name()
-}
-
-// PAlert mirrors bus.Alert.
-type PAlert struct {
-	Kind   uint8 // bus.AlertKind
-	Link   string
-	At     sim.Time
-	Detail string
-}
-
-func (p *PAlert) PayloadKind() string { return "alert" }
-
-func (p *PAlert) encodeFields(e *enc) {
-	e.tagU(1, uint64(p.Kind))
-	e.tagS(2, p.Link)
-	e.tagU(3, uint64(p.At))
-	e.tagS(4, p.Detail)
-}
-
-func decodeAlert(fs fieldSet) Payload {
-	return &PAlert{Kind: uint8(fs.u(1)), Link: fs.s(2), At: sim.Time(fs.u(3)), Detail: fs.s(4)}
-}
-
-func (p *PAlert) String() string {
-	s := fmt.Sprintf("alert{%v %s", bus.AlertKind(p.Kind), p.Link)
-	if p.Detail != "" {
-		s += " " + p.Detail
-	}
-	return s + "}"
-}
-
-// PRequest mirrors bus.RepairRequest.
-type PRequest struct {
-	Link       string
-	Predictive bool
-}
-
-func (p *PRequest) PayloadKind() string { return "request" }
-
-func (p *PRequest) encodeFields(e *enc) {
-	e.tagS(1, p.Link)
-	e.tagB(2, p.Predictive)
-}
-
-func decodeRequest(fs fieldSet) Payload {
-	return &PRequest{Link: fs.s(1), Predictive: fs.b(2)}
-}
-
-func (p *PRequest) String() string {
-	kind := "proactive"
-	if p.Predictive {
-		kind = "predictive"
-	}
-	return fmt.Sprintf("request{%s %s}", kind, p.Link)
-}
-
-// PTicket mirrors bus.TicketEvent.
-type PTicket struct {
-	Kind     uint8 // bus.TicketEventKind
-	ID       int
-	Link     string
-	Action   uint8 // faults.Action, meaningful on resolved events
-	Reactive bool
-}
-
-func (p *PTicket) PayloadKind() string { return "ticket" }
-
-func (p *PTicket) encodeFields(e *enc) {
-	e.tagU(1, uint64(p.Kind))
-	e.tagI(2, int64(p.ID))
-	e.tagS(3, p.Link)
-	e.tagU(4, uint64(p.Action))
-	e.tagB(5, p.Reactive)
-}
-
-func decodeTicket(fs fieldSet) Payload {
-	return &PTicket{Kind: uint8(fs.u(1)), ID: int(fs.i(2)), Link: fs.s(3),
-		Action: uint8(fs.u(4)), Reactive: fs.b(5)}
-}
-
-func (p *PTicket) String() string {
-	s := fmt.Sprintf("ticket{T%d %s %v", p.ID, p.Link, bus.TicketEventKind(p.Kind))
-	if bus.TicketEventKind(p.Kind) == bus.TicketResolved {
-		s += " via " + faults.Action(p.Action).String()
-	}
-	if p.Reactive {
-		s += " reactive"
-	}
-	return s + "}"
-}
-
-// PDispatch mirrors bus.Dispatch.
-type PDispatch struct {
-	Ticket int
-	Link   string
-	Actor  string
-	Robot  bool
-	Action uint8 // faults.Action
-	End    uint8 // faults.End
-}
-
-func (p *PDispatch) PayloadKind() string { return "dispatch" }
-
-func (p *PDispatch) encodeFields(e *enc) {
-	e.tagI(1, int64(p.Ticket))
-	e.tagS(2, p.Link)
-	e.tagS(3, p.Actor)
-	e.tagB(4, p.Robot)
-	e.tagU(5, uint64(p.Action))
-	e.tagU(6, uint64(p.End))
-}
-
-func decodeDispatch(fs fieldSet) Payload {
-	return &PDispatch{Ticket: int(fs.i(1)), Link: fs.s(2), Actor: fs.s(3),
-		Robot: fs.b(4), Action: uint8(fs.u(5)), End: uint8(fs.u(6))}
-}
-
-func (p *PDispatch) String() string {
-	return fmt.Sprintf("dispatch{T%d %s %s %v@%v by %s}", p.Ticket, p.Link, lane(p.Robot),
-		faults.Action(p.Action), faults.End(p.End), p.Actor)
-}
-
-func lane(robot bool) string {
-	if robot {
-		return "robot"
-	}
-	return "human"
-}
-
-// POutcome mirrors bus.WorkOutcome.
-type POutcome struct {
-	Ticket    int
-	Link      string
-	Actor     string
-	Robot     bool
-	Action    uint8 // faults.Action
-	Completed bool
-	Fixed     bool
-	Note      string
-}
-
-func (p *POutcome) PayloadKind() string { return "outcome" }
-
-func (p *POutcome) encodeFields(e *enc) {
-	e.tagI(1, int64(p.Ticket))
-	e.tagS(2, p.Link)
-	e.tagS(3, p.Actor)
-	e.tagB(4, p.Robot)
-	e.tagU(5, uint64(p.Action))
-	e.tagB(6, p.Completed)
-	e.tagB(7, p.Fixed)
-	e.tagS(8, p.Note)
-}
-
-func decodeOutcome(fs fieldSet) Payload {
-	return &POutcome{Ticket: int(fs.i(1)), Link: fs.s(2), Actor: fs.s(3),
-		Robot: fs.b(4), Action: uint8(fs.u(5)),
-		Completed: fs.b(6), Fixed: fs.b(7), Note: fs.s(8)}
-}
-
-func (p *POutcome) String() string {
-	verdict := "failed"
-	switch {
-	case p.Fixed:
-		verdict = "fixed"
-	case p.Completed:
-		verdict = "performed, not fixed"
-	}
-	s := fmt.Sprintf("outcome{T%d %s %v by %s: %s", p.Ticket, p.Link,
-		faults.Action(p.Action), p.Actor, verdict)
-	if p.Note != "" {
-		s += " (" + p.Note + ")"
-	}
-	return s + "}"
-}
-
-// PWatchdog mirrors bus.WatchdogFired.
-type PWatchdog struct {
-	Ticket   int
-	Link     string
-	Actor    string
-	Robot    bool
-	Action   uint8 // faults.Action
-	Deadline sim.Time
-	Attempt  int
-	Backoff  sim.Time
-}
-
-func (p *PWatchdog) PayloadKind() string { return "watchdog" }
-
-func (p *PWatchdog) encodeFields(e *enc) {
-	e.tagI(1, int64(p.Ticket))
-	e.tagS(2, p.Link)
-	e.tagS(3, p.Actor)
-	e.tagB(4, p.Robot)
-	e.tagU(5, uint64(p.Action))
-	e.tagU(6, uint64(p.Deadline))
-	e.tagI(7, int64(p.Attempt))
-	e.tagU(8, uint64(p.Backoff))
-}
-
-func decodeWatchdog(fs fieldSet) Payload {
-	return &PWatchdog{Ticket: int(fs.i(1)), Link: fs.s(2), Actor: fs.s(3),
-		Robot: fs.b(4), Action: uint8(fs.u(5)),
-		Deadline: sim.Time(fs.u(6)), Attempt: int(fs.i(7)), Backoff: sim.Time(fs.u(8))}
-}
-
-func (p *PWatchdog) String() string {
-	return fmt.Sprintf("watchdog{T%d %s %s %v by %s after %v attempt=%d backoff=%v}",
-		p.Ticket, p.Link, lane(p.Robot), faults.Action(p.Action), p.Actor,
-		p.Deadline, p.Attempt, p.Backoff)
-}
-
-// PDegraded mirrors bus.Degraded.
-type PDegraded struct {
-	Ticket        int
-	Link          string
-	RobotFailures int
-}
-
-func (p *PDegraded) PayloadKind() string { return "degraded" }
-
-func (p *PDegraded) encodeFields(e *enc) {
-	e.tagI(1, int64(p.Ticket))
-	e.tagS(2, p.Link)
-	e.tagI(3, int64(p.RobotFailures))
-}
-
-func decodeDegraded(fs fieldSet) Payload {
-	return &PDegraded{Ticket: int(fs.i(1)), Link: fs.s(2), RobotFailures: int(fs.i(3))}
-}
-
-func (p *PDegraded) String() string {
-	return fmt.Sprintf("degraded{T%d %s failures=%d}", p.Ticket, p.Link, p.RobotFailures)
-}
-
-// PJournal mirrors core.JournalEntry.
-type PJournal struct {
-	At     sim.Time
-	Kind   uint8 // core.EventKind
-	Ticket int   // -1 when not ticket-scoped, like the live entry
-	Link   string
-	Detail string
-}
-
-func (p *PJournal) PayloadKind() string { return "journal" }
-
-func (p *PJournal) encodeFields(e *enc) {
-	e.tagU(1, uint64(p.At))
-	e.tagU(2, uint64(p.Kind))
-	e.tagI(3, int64(p.Ticket))
-	e.tagS(4, p.Link)
-	e.tagS(5, p.Detail)
-}
-
-func decodeJournal(fs fieldSet) Payload {
-	return &PJournal{At: sim.Time(fs.u(1)), Kind: uint8(fs.u(2)), Ticket: int(fs.i(3)),
-		Link: fs.s(4), Detail: fs.s(5)}
-}
-
-func (p *PJournal) String() string {
-	s := fmt.Sprintf("journal{%v", core.EventKind(p.Kind))
-	if p.Ticket >= 0 {
-		s += fmt.Sprintf(" T%d", p.Ticket)
-	}
-	if p.Link != "" {
-		s += " " + p.Link
-	}
-	if p.Detail != "" {
-		s += ": " + p.Detail
-	}
-	return s + "}"
-}
-
-// PFleetSummary is the wire form of fleet.Summary (converted by the
-// scenario layer's fleet converter).
-type PFleetSummary struct {
-	Region      int
-	At          sim.Time
-	Links       int
-	LinksDown   int
-	OpenTickets int
-	Resolved    int
-	RobotsIdle  int
-	RobotsTotal int
-}
-
-func (p *PFleetSummary) PayloadKind() string { return "fleet-summary" }
-
-func (p *PFleetSummary) encodeFields(e *enc) {
-	e.tagI(1, int64(p.Region))
-	e.tagU(2, uint64(p.At))
-	e.tagI(3, int64(p.Links))
-	e.tagI(4, int64(p.LinksDown))
-	e.tagI(5, int64(p.OpenTickets))
-	e.tagI(6, int64(p.Resolved))
-	e.tagI(7, int64(p.RobotsIdle))
-	e.tagI(8, int64(p.RobotsTotal))
-}
-
-func decodeFleetSummary(fs fieldSet) Payload {
-	return &PFleetSummary{Region: int(fs.i(1)), At: sim.Time(fs.u(2)),
-		Links: int(fs.i(3)), LinksDown: int(fs.i(4)),
-		OpenTickets: int(fs.i(5)), Resolved: int(fs.i(6)),
-		RobotsIdle: int(fs.i(7)), RobotsTotal: int(fs.i(8))}
-}
-
-func (p *PFleetSummary) String() string {
-	return fmt.Sprintf("fleet-summary{region=%d links=%d down=%d open=%d resolved=%d robots=%d/%d}",
-		p.Region, p.Links, p.LinksDown, p.OpenTickets, p.Resolved, p.RobotsIdle, p.RobotsTotal)
-}
-
-// PFleetTicket is the wire form of fleet.Ticket.
-type PFleetTicket struct {
-	Region   int
-	OpenedAt sim.Time
-	ClosedAt sim.Time
-}
-
-func (p *PFleetTicket) PayloadKind() string { return "fleet-ticket" }
-
-func (p *PFleetTicket) encodeFields(e *enc) {
-	e.tagI(1, int64(p.Region))
-	e.tagU(2, uint64(p.OpenedAt))
-	e.tagU(3, uint64(p.ClosedAt))
-}
-
-func decodeFleetTicket(fs fieldSet) Payload {
-	return &PFleetTicket{Region: int(fs.i(1)), OpenedAt: sim.Time(fs.u(2)), ClosedAt: sim.Time(fs.u(3))}
-}
-
-func (p *PFleetTicket) String() string {
-	state := "open"
-	if p.ClosedAt != 0 {
-		state = fmt.Sprintf("closed@%d", int64(p.ClosedAt))
-	}
-	return fmt.Sprintf("fleet-ticket{region=%d opened@%d %s}", p.Region, int64(p.OpenedAt), state)
-}
-
-// PTransfer is the wire form of fleet.TransferNote.
-type PTransfer struct {
-	From    int
-	To      int
-	Granted bool
-	Unit    string
-}
-
-func (p *PTransfer) PayloadKind() string { return "transfer" }
-
-func (p *PTransfer) encodeFields(e *enc) {
-	e.tagI(1, int64(p.From))
-	e.tagI(2, int64(p.To))
-	e.tagB(3, p.Granted)
-	e.tagS(4, p.Unit)
-}
-
-func decodeTransfer(fs fieldSet) Payload {
-	return &PTransfer{From: int(fs.i(1)), To: int(fs.i(2)), Granted: fs.b(3), Unit: fs.s(4)}
-}
-
-func (p *PTransfer) String() string {
-	verdict := "declined"
-	if p.Granted {
-		verdict = "granted " + p.Unit
-	}
-	return fmt.Sprintf("transfer{%d->%d %s}", p.From, p.To, verdict)
-}
-
-// PGeneric records a payload type nothing converted: its Go type name and
-// rendered text. Deterministic as long as the payload's String/%v render
-// is (pointer-free value structs, or types with a Stringer).
-type PGeneric struct {
-	TypeName string
-	Text     string
-}
-
-func (p *PGeneric) PayloadKind() string { return "generic" }
-
-func (p *PGeneric) encodeFields(e *enc) {
-	e.tagS(1, p.TypeName)
-	e.tagS(2, p.Text)
-}
-
-func decodeGeneric(fs fieldSet) Payload {
-	return &PGeneric{TypeName: fs.s(1), Text: fs.s(2)}
-}
-
-func (p *PGeneric) String() string {
-	return fmt.Sprintf("generic{%s %s}", p.TypeName, p.Text)
-}
-
-// PUnknown is a payload whose wire kind this reader predates. The fields
-// survive generically, so renders and diffs still work; per the evolution
-// rules it never round-trips back to the typed form.
-type PUnknown struct {
-	Name   string
-	Fields fieldSet
-}
-
-func (p *PUnknown) PayloadKind() string { return p.Name }
-
-func (p *PUnknown) encodeFields(e *enc) {
+// PayloadKind implements bus.Recordable.
+func (p Payload) PayloadKind() string { return p.Kind }
+
+// WriteFields implements bus.Recordable: a decoded payload writes back the
+// fields it was captured from, so bus.Render of a replayed payload is the
+// live payload's render.
+func (p Payload) WriteFields(w bus.FieldWriter) {
 	for _, f := range p.Fields {
-		switch f.wire {
-		case wireUint:
-			e.tagU(f.tag, f.u)
-		case wireSint:
-			e.tagI(f.tag, f.i)
-		case wireStr:
-			e.tagS(f.tag, f.s)
-		case wireFloat:
-			e.u(f.tag<<2 | wireFloat)
-			e.f(f.f)
+		switch f.Type {
+		case FieldUint:
+			w.Uint(f.Name, f.Num)
+		case FieldInt:
+			w.Int(f.Name, int64(f.Num))
+		case FieldStr:
+			w.Str(f.Name, f.Str)
+		case FieldBool:
+			w.Bool(f.Name, f.Num != 0)
 		}
 	}
 }
 
-func (p *PUnknown) String() string {
-	var b strings.Builder
-	b.WriteString(p.Name)
-	b.WriteByte('{')
-	for i, f := range p.Fields {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		switch f.wire {
-		case wireUint:
-			fmt.Fprintf(&b, "%d=%d", f.tag, f.u)
-		case wireSint:
-			fmt.Fprintf(&b, "%d=%d", f.tag, f.i)
-		case wireStr:
-			fmt.Fprintf(&b, "%d=%q", f.tag, f.s)
-		case wireFloat:
-			fmt.Fprintf(&b, "%d=%s", f.tag, fmtFloat(f.f))
+// String renders the payload as bus.Render does.
+func (p Payload) String() string { return bus.Render(p) }
+
+func (p Payload) field(name string) Field {
+	for _, f := range p.Fields {
+		if f.Name == name {
+			return f
 		}
 	}
-	b.WriteByte('}')
-	return b.String()
+	return Field{}
+}
+
+// Int returns the named int field, or 0 when absent.
+func (p Payload) Int(name string) int64 { return int64(p.field(name).Num) }
+
+// Str returns the named string field, or "" when absent.
+func (p Payload) Str(name string) string { return p.field(name).Str }
+
+// Bool returns the named bool field, or false when absent.
+func (p Payload) Bool(name string) bool { return p.field(name).Num != 0 }
+
+// Capture returns the recorded form of a live payload: what a recording of
+// it decodes to.
+func Capture(p any) Payload {
+	var l fieldList
+	kind := l.capture(p)
+	return Payload{Kind: kind, Fields: l}
+}
+
+// fieldList collects a payload's fields as a bus.FieldWriter, dropping
+// zero values as every writer does.
+type fieldList []Field
+
+// capture replaces the list with p's fields and returns p's kind. A
+// payload that is not bus.Recordable is captured as kind "generic": its Go
+// type name and %v text, deterministic as long as that text is.
+func (l *fieldList) capture(p any) string {
+	*l = (*l)[:0]
+	r, ok := p.(bus.Recordable)
+	if !ok {
+		l.Str("type", fmt.Sprintf("%T", p))
+		l.Str("text", fmt.Sprint(p))
+		return "generic"
+	}
+	r.WriteFields(l)
+	return r.PayloadKind()
+}
+
+func (l *fieldList) Uint(name string, v uint64) {
+	if v != 0 {
+		*l = append(*l, Field{Name: name, Type: FieldUint, Num: v})
+	}
+}
+
+func (l *fieldList) Int(name string, v int64) {
+	if v != 0 {
+		*l = append(*l, Field{Name: name, Type: FieldInt, Num: uint64(v)})
+	}
+}
+
+func (l *fieldList) Str(name, v string) {
+	if v != "" {
+		*l = append(*l, Field{Name: name, Type: FieldStr, Str: v})
+	}
+}
+
+func (l *fieldList) Bool(name string, v bool) {
+	if v {
+		*l = append(*l, Field{Name: name, Type: FieldBool, Num: 1})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -19,24 +20,24 @@ const maxFrameLen = 16 << 20
 const maxShards = 1 << 16
 
 // Reader decodes one flight recording sequentially. It mirrors the
-// Recorder's delta and interning state, growing its per-shard tables on
-// demand (the shard count is implied by the frames, not the header, so old
-// readers need no header change when shard counts grow).
+// Recorder's delta and interning state. The shard count is implied by the
+// frames, not the header, so the per-shard delta state is keyed by the
+// shards frames actually name: a large id costs no more than a small one.
 type Reader struct {
 	br   *bufio.Reader
 	strs []string
 	meta map[string]string
 
-	prevAt      []sim.Time
-	prevSeq     []uint64
+	prev        map[int]delta
 	prevEpochAt sim.Time
 	index       uint64
+	buf         []byte // the last frame body or header string read
 }
 
 // NewReader opens a recording: it validates the magic and version and
 // reads the metadata block.
 func NewReader(rd io.Reader) (*Reader, error) {
-	r := &Reader{br: bufio.NewReaderSize(rd, 1<<16)}
+	r := &Reader{br: bufio.NewReaderSize(rd, 1<<16), prev: make(map[int]delta)}
 	var m [4]byte
 	if _, err := io.ReadFull(r.br, m[:]); err != nil {
 		return nil, fmt.Errorf("flightrec: reading magic: %w", err)
@@ -55,7 +56,8 @@ func NewReader(rd io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: reading metadata count: %w", err)
 	}
-	r.meta = make(map[string]string, n)
+	// n is untrusted: the map grows per entry actually read, never from n.
+	r.meta = make(map[string]string)
 	for i := uint64(0); i < n; i++ {
 		k, err := r.readRaw()
 		if err != nil {
@@ -81,11 +83,31 @@ func (r *Reader) readRaw() (string, error) {
 	if n > maxFrameLen {
 		return "", fmt.Errorf("string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
+	b, err := r.read(n)
+	if err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	return string(b), nil
+}
+
+// read reads exactly n bytes into the reader's reused buffer, growing it
+// only as bytes arrive, so a corrupt length prefix claims no more memory
+// than the input behind it. The result is valid until the next read.
+func (r *Reader) read(n uint64) ([]byte, error) {
+	b := r.buf[:0]
+	for uint64(len(b)) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, int(min(n-uint64(len(b)), uint64(max(len(b), 512)))))
+		}
+		m, err := io.ReadFull(r.br, b[len(b):min(uint64(cap(b)), n)])
+		b = b[:len(b)+m]
+		if err != nil {
+			r.buf = b
+			return nil, err
+		}
+	}
+	r.buf = b
+	return b, nil
 }
 
 // Next returns the next frame. A clean end of stream returns io.EOF; a
@@ -101,8 +123,8 @@ func (r *Reader) Next() (Frame, error) {
 	if n == 0 || n > maxFrameLen {
 		return Frame{}, fmt.Errorf("flightrec: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r.br, body); err != nil {
+	body, err := r.read(n)
+	if err != nil {
 		return Frame{}, fmt.Errorf("flightrec: truncated frame (%d bytes wanted): %w", n, err)
 	}
 	d := &dec{b: body, strs: &r.strs}
@@ -125,11 +147,10 @@ func (d *dec) shard() int {
 	return int(id)
 }
 
-func (r *Reader) grow(shard int) {
-	for len(r.prevAt) <= shard {
-		r.prevAt = append(r.prevAt, 0)
-		r.prevSeq = append(r.prevSeq, 0)
-	}
+// delta is one shard's previous event time and sequence number.
+type delta struct {
+	at  sim.Time
+	seq uint64
 }
 
 func (r *Reader) decodeBody(d *dec) Frame {
@@ -142,40 +163,30 @@ func (r *Reader) decodeBody(d *dec) Frame {
 	switch kind {
 	case KindEvent:
 		shard := d.shard()
-		r.grow(shard)
 		topic := d.s()
-		at := r.prevAt[shard] + sim.Time(d.u())
-		seq := r.prevSeq[shard] + d.u()
-		name := d.s()
-		fs := d.fields()
+		prev := r.prev[shard]
+		at := prev.at + sim.Time(d.u())
+		seq := prev.seq + d.u()
+		p := d.payload()
 		if d.err != nil {
 			return Frame{}
 		}
-		r.prevAt[shard] = at
-		r.prevSeq[shard] = seq
-		return Frame{Kind: kind, Shard: shard, Topic: topic, At: at, Seq: seq,
-			Payload: decodePayload(name, fs)}
+		r.prev[shard] = delta{at: at, seq: seq}
+		return Frame{Kind: kind, Shard: shard, Topic: topic, At: at, Seq: seq, Payload: p}
 	case KindSnapshot:
 		shard := d.shard()
-		r.grow(shard)
-		at := r.prevAt[shard] + sim.Time(d.u())
-		fs := d.fields()
+		prev := r.prev[shard]
+		at := prev.at + sim.Time(d.u())
+		sn := Snap{Avail: d.f(), LinksDown: int(d.i()), OpenTix: int(d.i()), Fired: d.u()}
 		if d.err != nil {
 			return Frame{}
 		}
-		r.prevAt[shard] = at
-		return Frame{Kind: kind, Shard: shard, At: at, Snap: Snap{
-			Avail: fs.f(1), LinksDown: int(fs.i(2)), OpenTix: int(fs.i(3)), Fired: fs.u(4)}}
+		r.prev[shard] = delta{at: at, seq: prev.seq}
+		return Frame{Kind: kind, Shard: shard, At: at, Snap: sn}
 	case KindState:
 		shard := d.shard()
-		n := d.u()
-		// Every entry takes at least one byte, so a count above the bytes
-		// left is corrupt; checking first bounds the allocation below.
-		if d.err != nil || n > uint64(len(d.b)-d.pos) {
-			d.fail("state frame with %d entries", n)
-			return Frame{}
-		}
-		kvs := make([]KV, 0, n)
+		n := d.count("state entry")
+		var kvs []KV
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			kv := KV{Key: d.s(), kind: kvKind(d.u())}
 			switch kv.kind {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/detsort"
@@ -34,42 +35,30 @@ type Recorder struct {
 	prevSeq     []uint64
 	prevEpochAt sim.Time
 
-	convert []func(any) (Payload, bool)
-	sum     *Summary
-	frames  uint64
-	err     error
-}
-
-// Option configures a Recorder.
-type Option func(*Recorder)
-
-// WithConverter adds a payload converter consulted after the built-in bus
-// conversions — the hook layers above flightrec use to record their own
-// payload types (fleet summaries, transfer notes) without flightrec
-// importing them. Converters must be pure: taps may call them from shard
-// goroutines.
-func WithConverter(fn func(any) (Payload, bool)) Option {
-	return func(r *Recorder) { r.convert = append(r.convert, fn) }
+	// captured is each shard's reused capture buffer, touched only by that
+	// shard's tap.
+	captured []fieldList
+	sum      *Summary
+	frames   uint64
+	err      error
 }
 
 // New starts a recording: it writes the header (magic, version, metadata
 // sorted by key) immediately. shards is the shard count frames will be
 // tagged with; plain worlds pass 1.
-func New(w io.Writer, meta map[string]string, shards int, opts ...Option) (*Recorder, error) {
+func New(w io.Writer, meta map[string]string, shards int) (*Recorder, error) {
 	if shards < 1 || shards > maxShards {
 		return nil, fmt.Errorf("flightrec: %d shards", shards)
 	}
 	r := &Recorder{
-		bw:      bufio.NewWriterSize(w, 1<<16),
-		e:       newEnc(),
-		shards:  shards,
-		pending: make([][]Frame, shards),
-		prevAt:  make([]sim.Time, shards),
-		prevSeq: make([]uint64, shards),
-		sum:     newSummary(meta),
-	}
-	for _, opt := range opts {
-		opt(r)
+		bw:       bufio.NewWriterSize(w, 1<<16),
+		e:        newEnc(),
+		shards:   shards,
+		pending:  make([][]Frame, shards),
+		prevAt:   make([]sim.Time, shards),
+		prevSeq:  make([]uint64, shards),
+		captured: make([]fieldList, shards),
+		sum:      newSummary(meta),
 	}
 	r.e.b = append(r.e.b, magic[:]...)
 	r.e.b = append(r.e.b, version)
@@ -99,11 +88,18 @@ func (r *Recorder) TapBus(b *bus.Bus, shard int) *bus.Subscription {
 }
 
 // Tap records one bus event for the given shard. On a sharded recorder it
-// only appends to the shard's buffer (plus payload conversion), so it is
+// only captures the payload into a frame of the shard's buffer, so it is
 // safe from that shard's goroutine while other shards run concurrently.
+// A single-shard recorder encodes the frame at once, from a reused capture
+// buffer; a pending frame keeps its own copy.
 func (r *Recorder) Tap(shard int, ev bus.Event) {
+	l := &r.captured[shard]
+	p := Payload{Kind: l.capture(ev.Payload), Fields: *l}
+	if r.shards > 1 {
+		p.Fields = slices.Clone(p.Fields)
+	}
 	r.add(Frame{Kind: KindEvent, Shard: shard, At: ev.At, Seq: ev.Seq,
-		Topic: string(ev.Topic), Payload: r.convertAny(ev.Payload)})
+		Topic: string(ev.Topic), Payload: p})
 }
 
 // Snapshot records one periodic metric sample for the given shard.
@@ -115,18 +111,6 @@ func (r *Recorder) Snapshot(shard int, at sim.Time, s Snap) {
 // report is rebuilt from on replay.
 func (r *Recorder) State(shard int, kvs []KV) {
 	r.add(Frame{Kind: KindState, Shard: shard, State: kvs})
-}
-
-func (r *Recorder) convertAny(p any) Payload {
-	if pl, ok := convertPayload(p); ok {
-		return pl
-	}
-	for _, fn := range r.convert {
-		if pl, ok := fn(p); ok {
-			return pl
-		}
-	}
-	return &PGeneric{TypeName: fmt.Sprintf("%T", p), Text: fmt.Sprint(p)}
 }
 
 func (r *Recorder) add(f Frame) {
@@ -206,17 +190,14 @@ func (r *Recorder) encodeBody(f Frame) {
 		e.u(r.deltaAt(f))
 		e.u(f.Seq - r.prevSeq[f.Shard])
 		r.prevSeq[f.Shard] = f.Seq
-		e.s(f.Payload.PayloadKind())
-		f.Payload.encodeFields(e)
-		e.end()
+		e.payload(f.Payload)
 	case KindSnapshot:
 		e.u(uint64(f.Shard))
 		e.u(r.deltaAt(f))
-		e.tagF(1, f.Snap.Avail)
-		e.tagI(2, int64(f.Snap.LinksDown))
-		e.tagI(3, int64(f.Snap.OpenTix))
-		e.tagU(4, f.Snap.Fired)
-		e.end()
+		e.f(f.Snap.Avail)
+		e.i(int64(f.Snap.LinksDown))
+		e.i(int64(f.Snap.OpenTix))
+		e.u(f.Snap.Fired)
 	case KindState:
 		e.u(uint64(f.Shard))
 		e.u(uint64(len(f.State)))

@@ -114,66 +114,75 @@ func (s *Summary) Add(f Frame) {
 	}
 }
 
+// addPayload counts one event by its payload's kind, reading the ticket
+// lifecycle and work split from named fields.
 func (s *Summary) addPayload(f Frame) {
-	switch p := f.Payload.(type) {
-	case *PAlert:
+	p := f.Payload
+	switch p.Kind {
+	case "alert":
 		s.alerts++
-	case *PRequest:
+	case "request":
 		s.requests++
-	case *PTicket:
-		key := [2]int{f.Shard, p.ID}
-		switch bus.TicketEventKind(p.Kind) {
-		case bus.TicketOpened:
-			s.allOpened++
-			if p.Reactive {
-				s.reactOpened++
-			}
-			s.open[key] = openTicket{at: f.At, reactive: p.Reactive}
-		case bus.TicketDeduped:
-			s.deduped++
-		case bus.TicketResolved:
-			if p.Reactive {
-				s.reactResolved++
-				if ot, ok := s.open[key]; ok {
-					s.wins = append(s.wins, winRec{shard: f.Shard, id: p.ID,
-						hours: (f.At - ot.at).Duration().Hours()})
-					s.winsSorted = false
-				}
-			}
-			delete(s.open, key)
-		case bus.TicketCancelled:
-			// Cancelled events carry no Reactive flag (the link recovered
-			// without intervention); the open-map entry remembers the kind.
-			if ot, ok := s.open[key]; ok && ot.reactive {
-				s.reactCancelled++
-			}
-			delete(s.open, key)
-		}
-	case *PDispatch:
-		if p.Robot {
+	case "ticket":
+		s.addTicket(f)
+	case "dispatch":
+		if p.Bool("robot") {
 			s.robot++
 		} else {
 			s.human++
 		}
-	case *POutcome:
+	case "outcome":
 		s.outcomes++
-		if p.Fixed {
+		if p.Bool("fixed") {
 			s.fixed++
 		}
-	case *PWatchdog:
+	case "watchdog":
 		s.watchdog++
-	case *PDegraded:
+	case "degraded":
 		s.degradedCnt++
-	case *PJournal:
+	case "journal":
 		s.journal++
-	case *PFleetSummary:
+	case "fleet-summary":
 		s.fleetSummaries++
-	case *PFleetTicket:
+	case "fleet-ticket":
 		s.fleetTickets++
-	case *PTransfer:
+	case "transfer":
 		s.fleetTransfers++
 	default:
 		s.generic++
+	}
+}
+
+func (s *Summary) addTicket(f Frame) {
+	p := f.Payload
+	id, reactive := int(p.Int("id")), p.Bool("reactive")
+	key := [2]int{f.Shard, id}
+	switch p.Str("kind") {
+	case bus.TicketOpened.String():
+		s.allOpened++
+		if reactive {
+			s.reactOpened++
+		}
+		s.open[key] = openTicket{at: f.At, reactive: reactive}
+	case bus.TicketDeduped.String():
+		s.deduped++
+	case bus.TicketResolved.String():
+		if reactive {
+			s.reactResolved++
+			if ot, ok := s.open[key]; ok {
+				s.wins = append(s.wins, winRec{shard: f.Shard, id: id,
+					hours: (f.At - ot.at).Duration().Hours()})
+				s.winsSorted = false
+			}
+		}
+		delete(s.open, key)
+	case bus.TicketCancelled.String():
+		// Cancelled events carry no reactive flag (the link recovered
+		// without intervention); the open-map entry remembers the kind.
+		if ot, ok := s.open[key]; ok && ot.reactive {
+			s.reactCancelled++
+		}
+		delete(s.open, key)
 	}
 }
 

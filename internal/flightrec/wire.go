@@ -1,5 +1,5 @@
 // Package flightrec is the durable flight recorder for deterministic runs:
-// a compact binary, schema-evolving, delta-compressed capture of the full
+// a compact binary, self-describing, delta-compressed capture of the full
 // event stream — every bus event on every topic, journal entries, periodic
 // metric snapshots, end-of-run state, and run metadata (seed, level,
 // config). The in-memory rings (core.journal, the daemon's eventRing) drop
@@ -16,19 +16,21 @@
 //
 // Frames are delta-compressed per shard: event times and sequence numbers
 // are encoded as deltas against the previous frame of the same shard, and
-// every string (topic, link name, payload kind) is interned into a
-// file-wide table, so steady-state events cost a few bytes each.
+// every string (topic, payload kind, field name, link name) is interned
+// into a file-wide table, so steady-state events cost a few bytes each.
 //
-// Schema evolution rules (see DESIGN.md):
+// An event's payload is its kind and a counted list of fields, each keyed
+// by its interned name: the bus.Recordable description the payload type
+// writes once. Schema evolution rules (see DESIGN.md):
 //
-//   - The version byte covers the container only; it bumps when the frame
-//     framing itself changes, never for payload growth.
-//   - Payload kinds are append-only and identified by interned name
-//     strings; a reader that does not know a kind decodes its fields
-//     generically and keeps going.
-//   - Payload fields are tagged. Tags are append-only per kind, unknown
-//     tags are skipped by wire type, and absent tags decode as zero —
-//     writers omit zero-valued fields, which doubles as compression.
+//   - The version byte covers the container; it bumps when the framing or
+//     the field encoding changes, never for payload growth.
+//   - Payload kinds and field names are plain strings: a new kind or field
+//     needs no reader change, since every kind decodes into the same
+//     Payload. A field that is absent reads as zero, and writers omit
+//     zero values, which doubles as compression.
+//   - Frame kinds are append-only; a reader passes unknown ones through as
+//     raw bytes.
 package flightrec
 
 import (
@@ -40,24 +42,13 @@ import (
 var magic = [4]byte{'S', 'M', 'F', 'R'}
 
 // version is the container version. See the schema-evolution rules above:
-// payload growth must not bump it.
-const version = 1
-
-// Wire types for tagged payload fields. A field is encoded as
-// uvarint(tag<<2|wire) followed by a wire-type-dependent value; the key 0
-// (tag 0) terminates the field list. Readers skip unknown tags by wire
-// type, which is what lets payload schemas grow without a version bump.
-const (
-	wireUint  = 0 // uvarint
-	wireSint  = 1 // zigzag varint
-	wireStr   = 2 // interned string
-	wireFloat = 3 // 8-byte little-endian IEEE 754 bits
-)
+// payload growth must not bump it. Version 2 keys payload fields by name.
+const version = 2
 
 // enc builds header and frame bodies. One enc lives for the whole file:
-// the string intern table spans frames, so a topic or link name costs its
-// bytes once and a one-or-two-byte id forever after — the bulk of the
-// compression alongside the per-shard time/seq deltas.
+// the string intern table spans frames, so a topic, field or link name
+// costs its bytes once and a one-or-two-byte reference forever after — the
+// bulk of the compression alongside the per-shard time/seq deltas.
 type enc struct {
 	b    []byte
 	strs map[string]uint64
@@ -76,61 +67,49 @@ func (e *enc) raw(s string) {
 	e.b = append(e.b, s...)
 }
 
-// s writes an interned string: id+1 for a known string, or 0 followed by
-// the raw bytes, implicitly assigning the next table id.
-func (e *enc) s(s string) {
+// ref returns s's table reference: id+1 for a known string, or 0 for a new
+// one, which takes the next table id and whose raw bytes the caller writes
+// right after the reference.
+func (e *enc) ref(s string) (ref uint64, known bool) {
 	if id, ok := e.strs[s]; ok {
-		e.u(id + 1)
-		return
+		return id + 1, true
 	}
-	e.u(0)
-	e.raw(s)
 	e.strs[s] = uint64(len(e.strs))
+	return 0, false
 }
 
-// Tagged-field writers. Zero values are omitted: absent tags decode as
-// zero, so omission is lossless and keeps sparse payloads tiny.
-
-func (e *enc) tagU(tag uint64, v uint64) {
-	if v == 0 {
-		return
-	}
-	e.u(tag<<2 | wireUint)
-	e.u(v)
-}
-
-func (e *enc) tagI(tag uint64, v int64) {
-	if v == 0 {
-		return
-	}
-	e.u(tag<<2 | wireSint)
-	e.i(v)
-}
-
-func (e *enc) tagS(tag uint64, s string) {
-	if s == "" {
-		return
-	}
-	e.u(tag<<2 | wireStr)
-	e.s(s)
-}
-
-func (e *enc) tagF(tag uint64, v float64) {
-	if v == 0 {
-		return
-	}
-	e.u(tag<<2 | wireFloat)
-	e.f(v)
-}
-
-func (e *enc) tagB(tag uint64, v bool) {
-	if v {
-		e.tagU(tag, 1)
+// s writes an interned string.
+func (e *enc) s(s string) {
+	ref, known := e.ref(s)
+	e.u(ref)
+	if !known {
+		e.raw(s)
 	}
 }
 
-// end terminates a tagged field list.
-func (e *enc) end() { e.u(0) }
+// payload writes a payload: its interned kind, the field count, then each
+// field as one uvarint key, its name's reference shifted over its two-bit
+// type, and the value — a uvarint, a zigzag varint, an interned string, or
+// nothing for a bool, which is only ever true.
+func (e *enc) payload(p Payload) {
+	e.s(p.Kind)
+	e.u(uint64(len(p.Fields)))
+	for _, f := range p.Fields {
+		ref, known := e.ref(f.Name)
+		e.u(ref<<2 | uint64(f.Type))
+		if !known {
+			e.raw(f.Name)
+		}
+		switch f.Type {
+		case FieldUint:
+			e.u(f.Num)
+		case FieldInt:
+			e.i(int64(f.Num))
+		case FieldStr:
+			e.s(f.Str)
+		}
+	}
+}
 
 // dec decodes one frame body. The string table is shared across frames and
 // owned by the Reader; errors are sticky so call sites stay linear.
@@ -200,93 +179,60 @@ func (d *dec) raw() string {
 	return s
 }
 
-func (d *dec) s() string {
-	id := d.u()
+// intern resolves a string reference written by enc.ref, reading the raw
+// bytes of a new string.
+func (d *dec) intern(ref uint64) string {
 	if d.err != nil {
 		return ""
 	}
-	if id == 0 {
+	if ref == 0 {
 		s := d.raw()
-		if d.err != nil {
-			return ""
+		if d.err == nil {
+			*d.strs = append(*d.strs, s)
 		}
-		*d.strs = append(*d.strs, s)
 		return s
 	}
-	if id-1 >= uint64(len(*d.strs)) {
-		d.fail("string id %d beyond intern table size %d", id, len(*d.strs))
+	if ref-1 >= uint64(len(*d.strs)) {
+		d.fail("string id %d beyond intern table size %d", ref-1, len(*d.strs))
 		return ""
 	}
-	return (*d.strs)[id-1]
+	return (*d.strs)[ref-1]
 }
 
-// field is one decoded tagged field. Unknown tags survive decoding, so a
-// reader built before a schema addition can still render and diff frames.
-type field struct {
-	tag  uint64
-	wire uint64
-	u    uint64
-	i    int64
-	f    float64
-	s    string
-}
+func (d *dec) s() string { return d.intern(d.u()) }
 
-// fieldSet is a decoded tagged field list with typed accessors; absent
-// tags read as zero, per the schema-evolution rules.
-type fieldSet []field
-
-func (fs fieldSet) lookup(tag uint64) (field, bool) {
-	for _, f := range fs {
-		if f.tag == tag {
-			return f, true
-		}
+// count reads a list length, failing when the list could not fit in the
+// bytes left (every entry takes at least one), so no claim outgrows the
+// input.
+func (d *dec) count(what string) uint64 {
+	n := d.u()
+	if d.err == nil && n > uint64(len(d.b)-d.pos) {
+		d.fail("%s count %d beyond the %d bytes left", what, n, len(d.b)-d.pos)
 	}
-	return field{}, false
+	return n
 }
 
-func (fs fieldSet) u(tag uint64) uint64 {
-	f, _ := fs.lookup(tag)
-	return f.u
-}
-
-func (fs fieldSet) i(tag uint64) int64 {
-	f, _ := fs.lookup(tag)
-	return f.i
-}
-
-func (fs fieldSet) s(tag uint64) string {
-	f, _ := fs.lookup(tag)
-	return f.s
-}
-
-func (fs fieldSet) f(tag uint64) float64 {
-	f, _ := fs.lookup(tag)
-	return f.f
-}
-
-func (fs fieldSet) b(tag uint64) bool { return fs.u(tag) != 0 }
-
-// fields decodes a tagged field list through its terminator. Interned
-// strings inside skipped fields are still resolved, keeping the table in
-// sync even when every tag is unknown.
-func (d *dec) fields() fieldSet {
-	var fs fieldSet
-	for {
+// payload decodes what enc.payload wrote.
+func (d *dec) payload() Payload {
+	p := Payload{Kind: d.s()}
+	n := d.count("field")
+	if n > 0 && d.err == nil {
+		p.Fields = make([]Field, 0, n) // n is bounded by the bytes left
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
 		key := d.u()
-		if d.err != nil || key == 0 {
-			return fs
+		f := Field{Type: FieldType(key & 3), Name: d.intern(key >> 2)}
+		switch f.Type {
+		case FieldUint:
+			f.Num = d.u()
+		case FieldInt:
+			f.Num = uint64(d.i())
+		case FieldStr:
+			f.Str = d.s()
+		case FieldBool:
+			f.Num = 1
 		}
-		fd := field{tag: key >> 2, wire: key & 3}
-		switch fd.wire {
-		case wireUint:
-			fd.u = d.u()
-		case wireSint:
-			fd.i = d.i()
-		case wireStr:
-			fd.s = d.s()
-		case wireFloat:
-			fd.f = d.f()
-		}
-		fs = append(fs, fd)
+		p.Fields = append(p.Fields, f)
 	}
+	return p
 }

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -85,13 +88,47 @@ func (hl *HealthLedger) Durations(id topology.LinkID) (healthy, flapping, down s
 	return acc[faults.Healthy], acc[faults.Flapping], acc[faults.Down]
 }
 
-// Fleet sums durations across all links.
-func (hl *HealthLedger) Fleet() (healthy, flapping, down sim.Time) {
+// linkTime is a fleet-wide sum of link durations in nanoseconds, exact
+// past int64: a large hall on a long run passes 2^63 ns, about 292
+// link-years.
+type linkTime struct{ hi, lo uint64 }
+
+func (t *linkTime) add(d sim.Time) {
+	var carry uint64
+	t.lo, carry = bits.Add64(t.lo, uint64(d), 0)
+	t.hi += carry
+}
+
+func (t linkTime) plus(u linkTime) linkTime {
+	lo, carry := bits.Add64(t.lo, u.lo, 0)
+	return linkTime{hi: t.hi + u.hi + carry, lo: lo}
+}
+
+// fits reports whether the sum is an int64, where it is read exactly as
+// one, bit for bit as the int64 sum it replaced.
+func (t linkTime) fits() bool { return t.hi == 0 && t.lo <= math.MaxInt64 }
+
+func (t linkTime) float() float64 {
+	if t.fits() {
+		return float64(t.lo)
+	}
+	return float64(t.hi)*(1<<64) + float64(t.lo)
+}
+
+func (t linkTime) hours() float64 {
+	if t.fits() {
+		return sim.Time(t.lo).Duration().Hours()
+	}
+	return t.float() / float64(sim.Hour)
+}
+
+// fleet sums durations across all links.
+func (hl *HealthLedger) fleet() (healthy, flapping, down linkTime) {
 	for id := range hl.acc {
 		h, f, d := hl.Durations(topology.LinkID(id))
-		healthy += h
-		flapping += f
-		down += d
+		healthy.add(h)
+		flapping.add(f)
+		down.add(d)
 	}
 	return healthy, flapping, down
 }
@@ -99,23 +136,23 @@ func (hl *HealthLedger) Fleet() (healthy, flapping, down sim.Time) {
 // FleetAvailability returns the fraction of link-time spent fully healthy,
 // and the "nines" convenience formats.
 func (hl *HealthLedger) FleetAvailability() float64 {
-	h, f, d := hl.Fleet()
-	total := h + f + d
-	if total == 0 {
+	h, f, d := hl.fleet()
+	total := h.plus(f).plus(d)
+	if total == (linkTime{}) {
 		return 1
 	}
-	return float64(h) / float64(total)
+	return h.float() / total.float()
 }
 
 // DownLinkHours returns the fleet-wide failed-link-hours, the paper's cost
 // unit for the AI-cluster argument.
 func (hl *HealthLedger) DownLinkHours() float64 {
-	_, _, d := hl.Fleet()
-	return d.Duration().Hours()
+	_, _, d := hl.fleet()
+	return d.hours()
 }
 
 // DegradedLinkHours returns fleet-wide flapping-link-hours.
 func (hl *HealthLedger) DegradedLinkHours() float64 {
-	_, f, _ := hl.Fleet()
-	return f.Duration().Hours()
+	_, f, _ := hl.fleet()
+	return f.hours()
 }

@@ -274,6 +274,50 @@ func TestHealthLedger(t *testing.T) {
 	}
 }
 
+// TestHealthLedgerPastInt64 runs a ledger past 2^63 link-nanoseconds
+// (about 292 link-years), where an int64 fleet sum wraps.
+func TestHealthLedgerPastInt64(t *testing.T) {
+	n, err := topology.NewLeafSpine(topology.LeafSpineConfig{
+		Leaves: 2, Spines: 2, HostsPerLeaf: 1, Uplinks: 1, FabricGbps: 400, HostGbps: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(1)
+	hl := NewHealthLedger(eng, n)
+	l := n.SwitchLinks()[0]
+	eng.Schedule(50*sim.Year, "down", func() {
+		hl.LinkStateChanged(l, faults.Healthy, faults.Down, eng.Now())
+	})
+	eng.Schedule(90*sim.Year, "flapping", func() {
+		hl.LinkStateChanged(l, faults.Down, faults.Flapping, eng.Now())
+	})
+	eng.RunUntil(100 * sim.Year)
+
+	links := float64(len(n.Links))
+	if links*100 < 300 {
+		t.Fatalf("only %v link-years; the test needs more than 292", links*100)
+	}
+	if got, want := hl.FleetAvailability(), (links*100-50)/(links*100); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("fleet availability %v, want %v", got, want)
+	}
+	if got, want := hl.DownLinkHours(), (40 * sim.Year).Duration().Hours(); got != want {
+		t.Fatalf("down link-hours %v, want %v", got, want)
+	}
+	if got, want := hl.DegradedLinkHours(), (10 * sim.Year).Duration().Hours(); got != want {
+		t.Fatalf("degraded link-hours %v, want %v", got, want)
+	}
+
+	// A sum past int64 is still exact to float64 precision.
+	var sum linkTime
+	for i := 0; i < 3; i++ {
+		sum.add(math.MaxInt64)
+	}
+	if got, want := sum.float(), 3*float64(math.MaxInt64); got != want || sum.fits() {
+		t.Fatalf("3*MaxInt64 sums to %v (fits %v), want %v", got, sum.fits(), want)
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := Table{Title: "T1", Cols: []string{"policy", "p99 (h)", "note"}}
 	tb.AddRow("human", 72.25, "baseline")

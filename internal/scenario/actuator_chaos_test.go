@@ -36,7 +36,7 @@ func TestActuatorChaosFixedSeedReproduces(t *testing.T) {
 		w.Bus.Tap(func(ev bus.Event) { fmt.Fprintln(&stream, ev.String()) })
 		w.Run(30 * sim.Day)
 		for _, e := range w.Ctrl.Journal(0) {
-			fmt.Fprintln(&stream, e.String())
+			fmt.Fprintln(&stream, bus.Render(e))
 		}
 		return sha256.Sum256([]byte(stream.String())),
 			w.ChaosStats().Injected(), w.Ctrl.Stats().WatchdogFires

@@ -34,7 +34,7 @@ func TestFixedSeedReproduces(t *testing.T) {
 		w.Run(30 * sim.Day)
 		var jr strings.Builder
 		for _, e := range w.Ctrl.Journal(0) {
-			fmt.Fprintln(&jr, e.String())
+			fmt.Fprintln(&jr, bus.Render(e))
 		}
 		led := fmt.Sprintf("%.12f %.12f %.12f",
 			w.Ledger.FleetAvailability(), w.Ledger.DownLinkHours(), w.Ledger.DegradedLinkHours())

@@ -3,11 +3,15 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/flightrec"
 	"repro/internal/sim"
@@ -219,4 +223,126 @@ func TestR7FromRecordingsRejectsTruncation(t *testing.T) {
 	if _, err := R7FromRecordings(dir); err == nil {
 		t.Fatal("R7FromRecordings accepted a truncated recording")
 	}
+}
+
+// liveEvent is one bus event as a tap saw it: its render and the recorded
+// form of its payload.
+type liveEvent struct {
+	shard    int
+	seq      uint64
+	render   string
+	captured flightrec.Payload
+}
+
+// tapLive collects every event on b, in publish order, into *out. Only b's
+// own goroutine appends, so sharded taps stay race-free.
+func tapLive(b *bus.Bus, shard int, out *[]liveEvent) *bus.Subscription {
+	return b.Tap(func(ev bus.Event) {
+		*out = append(*out, liveEvent{shard: shard, seq: ev.Seq,
+			render: bus.Render(ev.Payload), captured: flightrec.Capture(ev.Payload)})
+	})
+}
+
+// checkRenderedAsLive decodes a recording and checks every event frame
+// against the live event its shard saw next: the replayed payload renders
+// as the live one did, and decodes to exactly what was captured. It fails
+// unless every kind in wantKinds was recorded.
+func checkRenderedAsLive(t *testing.T, raw []byte, live [][]liveEvent, wantKinds ...string) {
+	t.Helper()
+	rd, err := flightrec.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := make([]int, len(live))
+	kinds := map[string]int{}
+	for {
+		f, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind != flightrec.KindEvent {
+			continue
+		}
+		if next[f.Shard] == len(live[f.Shard]) {
+			t.Fatalf("frame %d: shard %d recorded more events than its tap saw", f.Index, f.Shard)
+		}
+		want := live[f.Shard][next[f.Shard]]
+		next[f.Shard]++
+		if f.Seq != want.seq {
+			t.Fatalf("frame %d: shard %d seq %d, live %d", f.Index, f.Shard, f.Seq, want.seq)
+		}
+		if got := f.Payload.String(); got != want.render {
+			t.Fatalf("frame %d renders %q, live %q", f.Index, got, want.render)
+		}
+		if !reflect.DeepEqual(f.Payload, want.captured) {
+			t.Fatalf("frame %d decodes to %#v, captured %#v", f.Index, f.Payload, want.captured)
+		}
+		kinds[f.Payload.Kind]++
+	}
+	for shard, evs := range live {
+		if next[shard] != len(evs) {
+			t.Fatalf("shard %d: tap saw %d events, recording holds %d", shard, len(evs), next[shard])
+		}
+	}
+	if kinds["generic"] > 0 {
+		t.Errorf("%d events fell back to the generic kind: %v", kinds["generic"], kinds)
+	}
+	for _, k := range wantKinds {
+		if kinds[k] == 0 {
+			t.Errorf("no %s event recorded: %v", k, kinds)
+		}
+	}
+}
+
+// TestReplayRendersAsLive pins the one event schema end to end: for every
+// event of a real L4 world and of a sharded fleet, the replayed payload
+// renders as the live payload did, and its decoded fields equal the fields
+// captured live.
+func TestReplayRendersAsLive(t *testing.T) {
+	t.Run("world", func(t *testing.T) {
+		// Actuator chaos makes the watchdog and degraded events happen too.
+		w, err := Build(Options{Seed: 23, BuildNet: SmallHall, Level: core.L4,
+			Techs: 2, Robots: true, FaultScale: 100, Chaos: faults.ScaledExecChaos(0.3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		rec, err := w.StartRecording(&buf, map[string]string{"seed": "23"}, 6*sim.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make([][]liveEvent, 1)
+		tapLive(w.Bus, 0, &live[0])
+		w.Run(30 * sim.Day)
+		if _, err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkRenderedAsLive(t, buf.Bytes(), live,
+			"alert", "request", "ticket", "dispatch", "outcome", "watchdog", "degraded", "journal")
+	})
+	t.Run("fleet", func(t *testing.T) {
+		p := DefaultFleetParams(true)
+		f, regions, err := BuildFleet(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		frec, err := startFleetRecording(f, regions, &buf, map[string]string{"seed": fmt.Sprint(p.Seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := make([][]liveEvent, len(regions)+1)
+		tapLive(f.Bus, 0, &live[0])
+		for i, reg := range regions {
+			tapLive(reg.w.Bus, i+1, &live[i+1])
+		}
+		f.Run(sim.Time(p.Days) * sim.Day)
+		if _, err := frec.Close(f.Report()); err != nil {
+			t.Fatal(err)
+		}
+		checkRenderedAsLive(t, buf.Bytes(), live, "fleet-summary", "fleet-ticket", "transfer")
+	})
 }

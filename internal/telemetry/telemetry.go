@@ -1,9 +1,9 @@
 // Package telemetry is the monitoring plane: it observes link state
 // transitions and flap episodes (as a faults.Listener), maintains per-link
 // counters and windowed histories, detects flapping with a thresholded
-// window, and emits alerts. Everything above this layer — diagnosis,
-// ticketing, the controller — sees only what telemetry exposes, never the
-// fault injector's hidden ground truth.
+// window, and publishes bus.Alert events. Everything above this layer —
+// diagnosis, ticketing, the controller — sees only what telemetry exposes,
+// never the fault injector's hidden ground truth.
 package telemetry
 
 import (
@@ -14,46 +14,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
-
-// AlertKind classifies an alert.
-type AlertKind uint8
-
-// Alert kinds.
-const (
-	AlertLinkDown AlertKind = iota
-	AlertLinkFlapping
-	AlertLinkRecovered
-)
-
-var alertKindNames = [...]string{
-	AlertLinkDown:      "link-down",
-	AlertLinkFlapping:  "link-flapping",
-	AlertLinkRecovered: "link-recovered",
-}
-
-// String returns the alert kind name.
-func (k AlertKind) String() string {
-	if int(k) < len(alertKindNames) {
-		return alertKindNames[k]
-	}
-	return fmt.Sprintf("alert(%d)", uint8(k))
-}
-
-// Alert is a monitoring event delivered to subscribers.
-type Alert struct {
-	Kind   AlertKind
-	Link   *topology.Link
-	At     sim.Time
-	Detail string
-}
-
-// String renders the alert for logs.
-func (a Alert) String() string {
-	return fmt.Sprintf("[%v] %v %s %s", a.At, a.Kind, a.Link.Name(), a.Detail)
-}
-
-// Handler consumes alerts.
-type Handler func(Alert)
 
 // Config tunes detection.
 type Config struct {
@@ -102,12 +62,11 @@ type linkState struct {
 
 // Monitor is the telemetry plane for one network.
 type Monitor struct {
-	eng      *sim.Engine
-	net      *topology.Network
-	cfg      Config
-	links    []linkState
-	handlers []Handler
-	bus      *bus.Bus
+	eng   *sim.Engine
+	net   *topology.Network
+	cfg   Config
+	links []linkState
+	bus   *bus.Bus
 }
 
 // NewMonitor creates a monitor. Subscribe it to the fault injector with
@@ -117,12 +76,9 @@ func NewMonitor(eng *sim.Engine, net *topology.Network, cfg Config) *Monitor {
 	return m
 }
 
-// OnAlert registers a handler for all alerts.
-func (m *Monitor) OnAlert(h Handler) { m.handlers = append(m.handlers, h) }
-
 // PublishTo makes the monitor the pipeline's Sense stage: every alert is
-// additionally published on the bus's sense.alert topic, where Triage and
-// Plan consume it. Direct OnAlert handlers keep working and run first.
+// published as a bus.Alert on the sense.alert topic, where Triage and Plan
+// consume it. A monitor with no bus detects but emits nothing.
 func (m *Monitor) PublishTo(b *bus.Bus) { m.bus = b }
 
 // Counters returns a copy of the monitoring state for a link.
@@ -134,15 +90,10 @@ func (m *Monitor) Counters(id topology.LinkID) Counters {
 	return c
 }
 
-// emit delivers an alert to every handler, then to the bus.
-func (m *Monitor) emit(a Alert) {
-	for _, h := range m.handlers {
-		h(a)
-	}
+// emit publishes an alert on the bus.
+func (m *Monitor) emit(a bus.Alert) {
 	if m.bus != nil {
-		m.bus.Publish(bus.TopicAlert, bus.Alert{
-			Kind: bus.AlertKind(a.Kind), Link: a.Link, At: a.At, Detail: a.Detail,
-		})
+		m.bus.Publish(bus.TopicAlert, a)
 	}
 }
 
@@ -156,12 +107,12 @@ func (m *Monitor) LinkStateChanged(l *topology.Link, from, to faults.Health, at 
 		ls.Downs++
 		ls.downTimes = append(ls.downTimes, at)
 		ls.FlaggedFlappy = false
-		m.emit(Alert{Kind: AlertLinkDown, Link: l, At: at})
+		m.emit(bus.Alert{Kind: bus.AlertLinkDown, Link: l, At: at})
 	case faults.Healthy:
 		ls.Recoveries++
 		ls.recovTimes = append(ls.recovTimes, at)
 		ls.FlaggedFlappy = false
-		m.emit(Alert{Kind: AlertLinkRecovered, Link: l, At: at})
+		m.emit(bus.Alert{Kind: bus.AlertLinkRecovered, Link: l, At: at})
 	case faults.Flapping:
 		// The Flapping ground-truth state is not directly observable;
 		// telemetry flags flapping only from episode statistics below.
@@ -178,8 +129,8 @@ func (m *Monitor) LinkFlapped(l *topology.Link, dur sim.Time, loss float64, at s
 	inWindow := countSince(ls.flapTimes, at-m.cfg.FlapWindow)
 	if inWindow >= m.cfg.FlapThreshold && !ls.FlaggedFlappy {
 		ls.FlaggedFlappy = true
-		m.emit(Alert{
-			Kind: AlertLinkFlapping, Link: l, At: at,
+		m.emit(bus.Alert{
+			Kind: bus.AlertLinkFlapping, Link: l, At: at,
 			Detail: fmt.Sprintf("%d episodes in %v", inWindow, m.cfg.FlapWindow),
 		})
 	}

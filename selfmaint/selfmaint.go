@@ -25,6 +25,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/maintindex"
@@ -293,7 +294,7 @@ func (c *Cluster) DecisionLog(n int) []string {
 	}
 	var out []string
 	for _, e := range c.w.Ctrl.Journal(n) {
-		out = append(out, e.String())
+		out = append(out, fmt.Sprintf("[%v] %s", e.At, bus.Render(e)))
 	}
 	return out
 }

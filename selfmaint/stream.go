@@ -16,7 +16,6 @@ package selfmaint
 // feed reads nothing back from the hub.
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/bus"
@@ -190,10 +189,10 @@ func renderHealth(h faults.Health) []byte {
 
 // renderEvent is the transient bus-frame payload. The frame envelope
 // already carries the virtual time and topic; the payload adds the bus
-// sequence number and the event's formatted body, mirroring the daemon's
-// /events rows.
+// sequence number and the event's bus.Render text, as the daemon's
+// /events rows do.
 func renderEvent(ev bus.Event) []byte {
-	text := fmt.Sprint(ev.Payload)
+	text := bus.Render(ev.Payload)
 	b := make([]byte, 0, 32+len(text))
 	b = append(b, `{"bus_seq":`...)
 	b = strconv.AppendUint(b, ev.Seq, 10)
